@@ -11,7 +11,7 @@ cross-validated.
 __version__ = "0.1.0"
 
 from .ensembles import KINDS, EnsembleSpec, sample, sample_many
-from .numcore import PairHistogram, Quaternion22, RngStream
+from .numcore import PairHistogram, RngStream
 from .overlaps import (EigenSystem, NearDefectiveError, diagonal_overlaps,
                        eig_biorthogonal, overlap_matrix)
 
@@ -21,7 +21,6 @@ __all__ = [
     "EigenSystem",
     "NearDefectiveError",
     "PairHistogram",
-    "Quaternion22",
     "RngStream",
     "diagonal_overlaps",
     "eig_biorthogonal",

@@ -45,7 +45,12 @@ def _complex_arg(text):
 
 @dataclass
 class RunManifest:
-    """Reproducibility record written next to every sample directory."""
+    """Reproducibility record written next to every sample directory.
+
+    ``params`` and ``seed`` define the run and are what the ``# manifest``
+    tag hashes; ``results`` holds what the run reported (e.g. spherical
+    rejections), so that recording them cannot change the tag.
+    """
 
     command: str
     params: dict
@@ -53,6 +58,7 @@ class RunManifest:
     version: str = __version__
     created: str = ""
     outputs: dict = field(default_factory=dict)
+    results: dict = field(default_factory=dict)
 
     def params_hash(self):
         blob = json.dumps({"command": self.command, "params": self.params,
@@ -116,7 +122,7 @@ def cmd_sample(args):
     pairs_path = os.path.join(args.out, "pairs.csv")
     write_eigen_csv(eigen_path, erows, header_comment=tag)
     write_pairs_csv(pairs_path, prows, header_comment=tag)
-    manifest.params["rejections"] = rejections
+    manifest.results["rejections"] = rejections
     manifest.record_output(eigen_path)
     manifest.record_output(pairs_path)
     manifest.write(os.path.join(args.out, "manifest.json"))
@@ -153,7 +159,8 @@ def cmd_estimate(args):
         _write_table(out, est, ["r"], tag)
     elif args.what == "o2":
         if not args.pair:
-            raise SystemExit("estimate o2 needs at least one --pair z,w,w2")
+            raise SystemExit(
+                "estimate o2 needs at least one --pair re1,im1,re2,im2")
         windows = []
         for p in args.pair:
             a = [float(v) for v in p.split(",")]
@@ -241,10 +248,10 @@ def cmd_qsolve(args):
     rt = _rt_from_args(args)
     if args.what == "green":
         res = qsolver.solve_green(rt, args.z)
-        m = res.g.as_matrix()
+        g = res.g
         print(f"branch,{res.branch}")
-        for lbl, v in (("g11", m[0, 0]), ("g1b", m[0, 1]),
-                       ("gb1", m[1, 0]), ("gbb", m[1, 1])):
+        for lbl, v in (("g11", g[0, 0]), ("g1b", g[0, 1]),
+                       ("gb1", g[1, 0]), ("gbb", g[1, 1])):
             _print_complex(lbl, v)
     elif args.what == "o1":
         res = qsolver.solve_green(rt, args.z)

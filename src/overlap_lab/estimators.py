@@ -137,19 +137,27 @@ class _BatchAccumulator:
         return mean, err, int(self.counts.sum())
 
 
-def _eigen_systems(samples, config, need_overlaps):
-    """Yield eigendata per sample, dropping near-defective draws."""
-    dropped = 0
-    for x in _iter_matrices(samples):
-        try:
-            es = eig_biorthogonal(x, cond_limit=config.cond_limit)
-        except NearDefectiveError:
-            dropped += 1
-            continue
-        if need_overlaps:
-            yield es, overlap_matrix(es), dropped
-        else:
-            yield es, None, dropped
+class _EigenSystems:
+    """Iterates ``(eigensystem, overlaps or None)`` per sample.
+
+    Near-defective draws are dropped and counted in ``dropped``, whether
+    or not an accepted sample follows them.
+    """
+
+    def __init__(self, samples, config, need_overlaps):
+        self.samples = samples
+        self.config = config
+        self.need_overlaps = need_overlaps
+        self.dropped = 0
+
+    def __iter__(self):
+        for x in _iter_matrices(self.samples):
+            try:
+                es = eig_biorthogonal(x, cond_limit=self.config.cond_limit)
+            except NearDefectiveError:
+                self.dropped += 1
+                continue
+            yield es, overlap_matrix(es) if self.need_overlaps else None
 
 
 def _annulus_areas(edges):
@@ -167,8 +175,8 @@ def estimate_density(samples, radial_edges, config=EstimatorConfig()):
     areas = _annulus_areas(edges)
     acc = _BatchAccumulator((len(edges) - 1,), config.n_batches)
     cnt = np.zeros(len(edges) - 1, dtype=np.int64)
-    dropped = 0
-    for es, _, dropped in _eigen_systems(samples, config, False):
+    systems = _EigenSystems(samples, config, False)
+    for es, _ in systems:
         r = np.abs(es.eigenvalues)
         hist, _ = np.histogram(r, bins=edges)
         cnt += hist.astype(np.int64)
@@ -178,7 +186,7 @@ def estimate_density(samples, radial_edges, config=EstimatorConfig()):
         warnings.warn("no eigenvalues fell into the declared bins")
     centers = 0.5 * (edges[:-1] + edges[1:])
     return BinnedEstimate(centers[:, None], mean.real / areas, err / areas,
-                          cnt, n_used, dropped)
+                          cnt, n_used, systems.dropped)
 
 
 def estimate_density_real(samples, edges, config=EstimatorConfig(),
@@ -195,8 +203,8 @@ def estimate_density_real(samples, edges, config=EstimatorConfig(),
     cnt = np.zeros(len(edges) - 1, dtype=np.int64)
     n_total = 0
     n_complex = 0
-    dropped = 0
-    for es, _, dropped in _eigen_systems(samples, config, False):
+    systems = _EigenSystems(samples, config, False)
+    for es, _ in systems:
         lam = es.eigenvalues
         scale = np.maximum(np.abs(lam), 1.0)
         real_mask = np.abs(lam.imag) <= imag_tol * scale
@@ -208,7 +216,7 @@ def estimate_density_real(samples, edges, config=EstimatorConfig(),
     mean, err, n_used = acc.finalize()
     centers = 0.5 * (edges[:-1] + edges[1:])
     out = BinnedEstimate(centers[:, None], mean.real / widths, err / widths,
-                         cnt, n_used, dropped)
+                         cnt, n_used, systems.dropped)
     out.complex_fraction = n_complex / max(n_total, 1)
     return out
 
@@ -223,8 +231,8 @@ def estimate_o1(samples, radial_edges, config=EstimatorConfig()):
     areas = _annulus_areas(edges)
     acc = _BatchAccumulator((len(edges) - 1,), config.n_batches)
     cnt = np.zeros(len(edges) - 1, dtype=np.int64)
-    dropped = 0
-    for es, _, dropped in _eigen_systems(samples, config, False):
+    systems = _EigenSystems(samples, config, False)
+    for es, _ in systems:
         r = np.abs(es.eigenvalues)
         okk = diagonal_overlaps(es).real
         hist, _ = np.histogram(r, bins=edges, weights=okk)
@@ -234,7 +242,7 @@ def estimate_o1(samples, radial_edges, config=EstimatorConfig()):
     mean, err, n_used = acc.finalize()
     centers = 0.5 * (edges[:-1] + edges[1:])
     return BinnedEstimate(centers[:, None], mean.real / areas, err / areas,
-                          cnt, n_used, dropped)
+                          cnt, n_used, systems.dropped)
 
 
 def estimate_o2_windows(samples, windows, half_width,
@@ -250,8 +258,8 @@ def estimate_o2_windows(samples, windows, half_width,
     area = (2.0 * half_width) ** 2
     acc = _BatchAccumulator((len(windows),), config.n_batches)
     cnt = np.zeros(len(windows), dtype=np.int64)
-    dropped = 0
-    for es, o, dropped in _eigen_systems(samples, config, True):
+    systems = _EigenSystems(samples, config, True)
+    for es, o in systems:
         lam = es.eigenvalues
         np.fill_diagonal(o, 0.0)
         sep = np.abs(lam[:, None] - lam[None, :])
@@ -271,7 +279,7 @@ def estimate_o2_windows(samples, windows, half_width,
     mean, err, n_used = acc.finalize()
     centers = np.array([[z.real, z.imag, w.real, w.imag]
                         for z, w in windows])
-    return BinnedEstimate(centers, mean, err, cnt, n_used, dropped)
+    return BinnedEstimate(centers, mean, err, cnt, n_used, systems.dropped)
 
 
 def estimate_o2_real_pairs(samples, edges, config=EstimatorConfig()):
@@ -285,8 +293,8 @@ def estimate_o2_real_pairs(samples, edges, config=EstimatorConfig()):
     n_bins = len(edges) - 1
     hists = [PairHistogram(edges, edges) for _ in range(config.n_batches)]
     i = 0
-    dropped = 0
-    for es, o, dropped in _eigen_systems(samples, config, True):
+    systems = _EigenSystems(samples, config, True)
+    for es, o in systems:
         lam = es.eigenvalues
         np.fill_diagonal(o, 0.0)
         if config.delta_min > 0:
@@ -306,7 +314,7 @@ def estimate_o2_real_pairs(samples, edges, config=EstimatorConfig()):
     centers = 0.5 * (edges[:-1] + edges[1:])
     out = BinnedEstimate(
         np.array([[a, b] for a in centers for b in centers]),
-        mean, err, count, int(weights.sum()), dropped)
+        mean, err, count, int(weights.sum()), systems.dropped)
     out.grid_centers = centers
     out.grid_estimate = mean
     out.grid_stderr = err

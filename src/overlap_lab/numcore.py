@@ -1,9 +1,8 @@
 """Foundational numerics shared by all other modules.
 
-Contains the 2x2 quaternion algebra used to represent regularized
-resolvent arguments, numerical Wirtinger derivatives, a mergeable
-2D-binned pair accumulator and the deterministic RNG stream contract
-used by the samplers.
+Contains numerical Wirtinger derivatives, a mergeable 2D-binned pair
+accumulator and the deterministic RNG stream contract used by the
+samplers.
 """
 
 from dataclasses import dataclass
@@ -11,99 +10,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Quaternion22",
     "PairHistogram",
     "RngStream",
-    "SingularQuaternionError",
-    "quaternion_inverse",
     "wirtinger_mixed_derivative",
 ]
-
-
-class SingularQuaternionError(ValueError):
-    """Raised when a 2x2 quaternion is not invertible within tolerance."""
-
-
-@dataclass(frozen=True)
-class Quaternion22:
-    """A quaternion q = x + iy + ju + kv in its 2x2 complex matrix form.
-
-    The matrix layout is ``[[q11, q1b], [qb1, qbb]]``.  Physical
-    (on-shell) arguments satisfy ``qbb == conj(q11)`` and
-    ``qb1 == -conj(q1b)``; intermediate solver values need not.
-    """
-
-    q11: complex
-    q1b: complex
-    qb1: complex
-    qbb: complex
-
-    @classmethod
-    def from_zw(cls, z, w=0.0):
-        """On-shell quaternion ``[[z, i conj(w)], [i w, conj(z)]]``."""
-        z = complex(z)
-        w = complex(w)
-        return cls(z, 1j * np.conj(w), 1j * w, np.conj(z))
-
-    @classmethod
-    def diag(cls, a, b):
-        return cls(complex(a), 0.0 + 0.0j, 0.0 + 0.0j, complex(b))
-
-    @classmethod
-    def from_matrix(cls, m):
-        m = np.asarray(m)
-        return cls(complex(m[0, 0]), complex(m[0, 1]),
-                   complex(m[1, 0]), complex(m[1, 1]))
-
-    def as_matrix(self):
-        return np.array([[self.q11, self.q1b], [self.qb1, self.qbb]],
-                        dtype=complex)
-
-    @property
-    def det(self):
-        return self.q11 * self.qbb - self.q1b * self.qb1
-
-    def norm_sq(self):
-        return (abs(self.q11) ** 2 + abs(self.q1b) ** 2
-                + abs(self.qb1) ** 2 + abs(self.qbb) ** 2)
-
-    def is_on_shell(self, tol=1e-10):
-        return (abs(self.qbb - np.conj(self.q11)) <= tol
-                and abs(self.qb1 + np.conj(self.q1b)) <= tol)
-
-    def __matmul__(self, other):
-        return Quaternion22.from_matrix(self.as_matrix() @ other.as_matrix())
-
-    def __add__(self, other):
-        return Quaternion22(self.q11 + other.q11, self.q1b + other.q1b,
-                            self.qb1 + other.qb1, self.qbb + other.qbb)
-
-    def __sub__(self, other):
-        return Quaternion22(self.q11 - other.q11, self.q1b - other.q1b,
-                            self.qb1 - other.qb1, self.qbb - other.qbb)
-
-    def scale(self, c):
-        c = complex(c)
-        return Quaternion22(c * self.q11, c * self.q1b,
-                            c * self.qb1, c * self.qbb)
-
-
-IDENTITY = Quaternion22(1.0, 0.0, 0.0, 1.0)
-
-
-def quaternion_inverse(q, eps_rel=1e-12):
-    """Invert a 2x2 quaternion.
-
-    Raises :class:`SingularQuaternionError` when ``|det q|`` falls below
-    ``eps_rel * ||q||^2``.  Green's functions legitimately approach the
-    singular set at spectrum edges, hence the relative (not absolute)
-    threshold.
-    """
-    d = q.det
-    if abs(d) <= eps_rel * max(q.norm_sq(), np.finfo(float).tiny):
-        raise SingularQuaternionError(
-            f"quaternion determinant {d!r} below tolerance")
-    return Quaternion22(q.qbb / d, -q.q1b / d, -q.qb1 / d, q.q11 / d)
 
 
 def _mixed_second(f, z1, z2, h):
@@ -199,15 +109,20 @@ class RngStream:
     A counter-based Philox generator keyed by ``(seed, stream)``:
     identical pairs reproduce identical draws bit-exactly on one
     platform, distinct stream indices are statistically independent.
+    ``sub`` selects a substream of the same key by starting the 256-bit
+    counter at ``sub * 2**192``; ``sub = 0`` is the stream itself.
     """
 
     seed: int
     stream: int = 0
+    sub: int = 0
 
     def generator(self):
-        key = (int(self.seed) & ((1 << 64) - 1)) << 64 | (int(self.stream) & ((1 << 64) - 1))
-        return np.random.Generator(np.random.Philox(key=key))
+        mask = (1 << 64) - 1
+        key = (int(self.seed) & mask) << 64 | (int(self.stream) & mask)
+        counter = np.array([0, 0, 0, int(self.sub) & mask], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
     def substream(self, index):
         """Derived stream, used e.g. for resampling rejected draws."""
-        return RngStream(self.seed, (int(self.stream) << 20) ^ int(index))
+        return RngStream(self.seed, self.stream, int(index))

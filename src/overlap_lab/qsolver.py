@@ -6,11 +6,12 @@ resummation of the two-point function, holomorphic traced resolvent
 products, the real-spectrum boundary-value route, and the wheel (double
 trace) generating function.
 
-The 4x4 two-point objects use the composite index ordering
-``(alpha mu) in [(1,1), (1,b), (b,1), (b,b)]`` for rows and
-``(beta nu)`` for columns, so that the free ladder is the Kronecker
-product ``G(Q) (x) G(P)^T`` and the eigenvector component of interest
-sits at position ``[1, 1]``.
+Quaternions are plain ``(2, 2)`` complex arrays laid out as
+``[[G_11, G_1b], [G_b1, G_bb]]``.  The 4x4 two-point objects use the
+composite index ordering ``(alpha mu) in [(1,1), (1,b), (b,1), (b,b)]``
+for rows and ``(beta nu)`` for columns, so that the free ladder is the
+Kronecker product ``G(Q) (x) G(P)^T`` and the eigenvector component of
+interest sits at position ``[1, 1]``.
 """
 
 import cmath
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytic import o1_biunitary, radial_cdf
-from .numcore import Quaternion22, wirtinger_mixed_derivative
+from .numcore import wirtinger_mixed_derivative
 
 __all__ = [
     "RTransformSpec",
@@ -46,9 +47,9 @@ class RTransformSpec:
     """Cumulant data of one ensemble, as needed by the two-point solver.
 
     ``kind`` selects the closed-form route.  For the biunitary kinds the
-    alternating cumulants are encoded in the determining sequence
-    ``a_func`` (with ``a_func(0) = r_out^2``) together with the radial
-    cdf of the spectrum.
+    alternating cumulants are encoded in the determining sequence on its
+    physical sheet ``a_of_r``, its slope ``a_slope = A'(0)`` at the
+    spectral edge, and the radial cdf of the spectrum.
     """
 
     kind: str
@@ -58,8 +59,8 @@ class RTransformSpec:
     kappa: float = 1.0
     m: float = 1.0
     gamma: float = 1.0
-    a_func: callable = None
     a_of_r: callable = None
+    a_slope: float = None
     fspec: object = field(default=None, compare=False)
 
 
@@ -67,60 +68,35 @@ def elliptic_rt(sigma=1.0, tau=0.0):
     return RTransformSpec("elliptic", sigma=sigma, tau=tau)
 
 
-def _determining_sequence(kind, alpha, kappa):
-    """Determining sequence A(x) of the worked biunitary ensembles.
-
-    Obtained by inverting the single-ring relations
-    ``x A(x) = F(r) - 1`` with ``x = -pi O_1(r)``.
-    """
-    if kind == "ginibre":
-        return lambda x: 1.0 + 0.0 * x
-    if kind == "product_ginibre":
-        return lambda x: 1.0 / (1.0 - x)
-    if kind == "spherical":
-        return lambda x: 1.0 / np.sqrt(-x)
-    if kind == "induced_ginibre":
-        def a_ind(x):
-            root = np.sqrt((1.0 + x) ** 2 + 4.0 * alpha * x)
-            return 1.0 + 2.0 * alpha / (1.0 + x + root)
-        return a_ind
-    if kind == "truncated_unitary":
-        def a_tu(x):
-            if abs(x) < 1e-12:
-                return 1.0 / (1.0 + kappa) + x / (1.0 + kappa) ** 3
-            root = np.sqrt((1.0 + kappa) ** 2 + 4.0 * x)
-            return (-(1.0 + kappa) + root) / (2.0 * x)
-        return a_tu
-    raise ValueError(f"no determining sequence for {kind!r}")
-
-
 def _determining_sequence_radial(kind, alpha, kappa):
-    """Determining sequence evaluated on its physical sheet A(x(r)).
+    """Determining sequence of a worked biunitary ensemble.
 
-    ``x(r) = -pi O_1(r)`` is not injective for every ensemble (for the
-    induced case both spectral edges map to x = 0), so the rung must be
-    parametrized by the radius rather than by x itself.
+    A(x) inverts the single-ring relations ``x A(x) = F(r) - 1`` with
+    ``x = -pi O_1(r)``.  Returns ``(a_of_r, a_slope)``: A on its physical
+    sheet A(x(r)), and A'(0).  ``x(r)`` is not injective for every
+    ensemble (for the induced case both spectral edges map to x = 0), so
+    the rung is parametrized by the radius rather than by x itself.  The
+    slope is None for the spherical ensemble, which has no exterior.
     """
     if kind == "ginibre":
-        return lambda r: 1.0
+        return (lambda r: 1.0), 0.0
     if kind == "product_ginibre":
-        return lambda r: min(r, 1.0)
+        return (lambda r: min(r, 1.0)), 1.0
     if kind == "spherical":
-        return lambda r: 1.0 + r ** 2
+        return (lambda r: 1.0 + r ** 2), None
     if kind == "induced_ginibre":
-        return lambda r: r ** 2 / (r ** 2 - alpha)
+        return (lambda r: r ** 2 / (r ** 2 - alpha)), -alpha * (1.0 + alpha)
     if kind == "truncated_unitary":
-        return lambda r: (1.0 - r ** 2) / kappa
+        return (lambda r: (1.0 - r ** 2) / kappa), -1.0 / (1.0 + kappa) ** 3
     raise ValueError(f"no determining sequence for {kind!r}")
 
 
 def biunitary_rt(kind, alpha=0.0, kappa=1.0):
     """R-transform data of a biunitarily invariant ensemble."""
+    a_of_r, a_slope = _determining_sequence_radial(kind, alpha, kappa)
     return RTransformSpec(
-        "biunitary_" + kind, alpha=alpha, kappa=kappa,
-        a_func=_determining_sequence(kind, alpha, kappa),
-        a_of_r=_determining_sequence_radial(kind, alpha, kappa),
-        fspec=radial_cdf(kind, alpha=alpha, kappa=kappa))
+        "biunitary_" + kind, alpha=alpha, kappa=kappa, a_of_r=a_of_r,
+        a_slope=a_slope, fspec=radial_cdf(kind, alpha=alpha, kappa=kappa))
 
 
 def pseudo_hermitian_rt():
@@ -134,9 +110,14 @@ def quantum_scattering_rt(m=1.0, gamma=1.0):
 
 @dataclass(frozen=True)
 class GreenResult:
-    g: Quaternion22
+    g: np.ndarray  # (2, 2) complex
     branch: str  # "holomorphic" or "nonholomorphic"
     z: complex = 0.0
+
+
+def _quaternion(g11, off=0j):
+    """On-shell Green's function ``[[g11, off], [off, conj(g11)]]``."""
+    return np.array([[g11, off], [off, np.conj(g11)]], dtype=complex)
 
 
 def _sqrt_towards(value, reference):
@@ -220,48 +201,36 @@ def solve_green(rt, z):
     fell in the holomorphic (outside) or nonholomorphic (inside) regime.
     """
     z = complex(z)
-    if rt.kind == "elliptic":
+    if rt.kind == "elliptic" and _elliptic_inside(rt.sigma, rt.tau, z):
         sigma, tau = rt.sigma, rt.tau
-        if _elliptic_inside(sigma, tau, z):
-            s2 = sigma ** 2
-            denom = s2 * (1.0 - tau ** 2)
-            g11 = (np.conj(z) - z * tau) / denom
-            rad = 1.0 - abs(z - np.conj(z) * tau) ** 2 / (s2 * (1.0 - tau ** 2) ** 2)
-            off = 1j * math.sqrt(max(rad, 0.0)) / sigma
-            return GreenResult(
-                Quaternion22(g11, off, off, np.conj(g11)), "nonholomorphic", z)
-        g = _elliptic_g_holo(sigma, tau, z)
-        return GreenResult(Quaternion22.diag(g, np.conj(g)), "holomorphic", z)
+        s2 = sigma ** 2
+        denom = s2 * (1.0 - tau ** 2)
+        g11 = (np.conj(z) - z * tau) / denom
+        rad = 1.0 - abs(z - np.conj(z) * tau) ** 2 / (s2 * (1.0 - tau ** 2) ** 2)
+        off = 1j * math.sqrt(max(rad, 0.0)) / sigma
+        return GreenResult(_quaternion(g11, off), "nonholomorphic", z)
     if rt.kind.startswith("biunitary_"):
         fspec = rt.fspec
         r = abs(z)
         if fspec.r_in < r < fspec.r_out:
-            fr = fspec(r)
-            g11 = fr / z
             off = 1j * math.sqrt(max(math.pi * o1_biunitary(fspec, r), 0.0))
-            return GreenResult(
-                Quaternion22(g11, off, off, np.conj(g11)), "nonholomorphic", z)
+            return GreenResult(_quaternion(fspec(r) / z, off),
+                               "nonholomorphic", z)
         if r <= fspec.r_in:
             g = 0.0 + 0.0j if r == 0 else fspec(r) / z  # zero inside the hole
-            return GreenResult(Quaternion22.diag(g, np.conj(g)), "holomorphic", z)
-        g = 1.0 / z
-        return GreenResult(Quaternion22.diag(g, np.conj(g)), "holomorphic", z)
-    if rt.kind == "pseudo_hermitian_product":
-        g = pt_green_scalar(z)
-        branch = ("nonholomorphic"
-                  if z.imag == 0.0 and 0.0 < z.real < PT_EDGE else "holomorphic")
-        return GreenResult(Quaternion22.diag(g, np.conj(g)), branch, z)
-    if rt.kind == "quantum_scattering":
-        g = qs_green_scalar(z, rt.m, rt.gamma)
-        return GreenResult(Quaternion22.diag(g, np.conj(g)), "holomorphic", z)
-    raise ValueError(f"unsupported R-transform kind {rt.kind!r}")
+            return GreenResult(_quaternion(g), "holomorphic", z)
+    branch = "holomorphic"
+    if (rt.kind == "pseudo_hermitian_product"
+            and z.imag == 0.0 and 0.0 < z.real < PT_EDGE):
+        branch = "nonholomorphic"
+    return GreenResult(_quaternion(holo_g_scalar(rt, z)), branch, z)
 
 
 def o1_from_green(green):
     """One-point eigenvector function -G_1b G_b1 / pi (0 if holomorphic)."""
     if green.branch == "holomorphic":
         return 0.0
-    val = -(green.g.q1b * green.g.qb1) / math.pi
+    val = -(green.g[0, 1] * green.g[1, 0]) / math.pi
     return float(val.real)
 
 
@@ -282,7 +251,9 @@ def _s_t_functions(rt, r1, r2):
     x1, x2 = x_of_r(r1), x_of_r(r2)
     if max(abs(x1), abs(x2)) < 1e-12:
         # both points outside the support: Taylor data of A at x = 0
-        return rt.fspec.r_out ** 2, _num_derivative(rt.a_func, 0.0)
+        if rt.a_slope is None:
+            raise ValueError("no exterior for an unbounded spectrum")
+        return rt.fspec.r_out ** 2, rt.a_slope
     clamp = lambda r: min(max(r, rt.fspec.r_in), rt.fspec.r_out)
     a1, a2 = rt.a_of_r(clamp(r1)), rt.a_of_r(clamp(r2))
     if abs(r1 - r2) < 1e-7:
@@ -298,17 +269,17 @@ def _s_t_functions(rt, r1, r2):
 
 
 def _green_parts(g):
-    """Quaternion and (optional) spectral point of a Green's function."""
+    """(2, 2) array and (optional) spectral point of a Green's function."""
     if isinstance(g, GreenResult):
         return g.g, g.z
-    return g, None
+    return np.asarray(g), None
 
 
 def build_rung(rt, gq, gp):
     """4x4 rung matrix B of the Bethe-Salpeter equation.
 
     ``gq`` and ``gp`` are the Green's functions at the two spectral
-    points, as :class:`GreenResult` (or bare quaternions for kinds whose
+    points, as :class:`GreenResult` (or bare (2, 2) arrays for kinds whose
     rung needs no spectral-point information).  For elliptic ensembles
     the rung is the constant diagonal of second cumulants; for biunitary
     kinds only the four alternating-cumulant components survive; for the
@@ -328,13 +299,13 @@ def build_rung(rt, gq, gp):
         b = np.zeros((4, 4), dtype=complex)
         b[1, 1] = s           # B^{11}_{bb}
         b[2, 2] = s           # B^{bb}_{11}
-        b[1, 2] = qq.q1b * qp.q1b * t   # B^{1b}_{b1}
-        b[2, 1] = qq.qb1 * qp.qb1 * t   # B^{b1}_{1b}
+        b[1, 2] = qq[0, 1] * qp[0, 1] * t   # B^{1b}_{b1}
+        b[2, 1] = qq[1, 0] * qp[1, 0] * t   # B^{b1}_{1b}
         return b
     if rt.kind == "quantum_scattering":
         g_small = np.diag([1j * rt.gamma, -1j * rt.gamma])
-        ainv = np.linalg.inv(np.linalg.inv(g_small) - qq.as_matrix())
-        cinv = np.linalg.inv(np.linalg.inv(g_small) - qp.as_matrix().T)
+        ainv = np.linalg.inv(np.linalg.inv(g_small) - qq)
+        cinv = np.linalg.inv(np.linalg.inv(g_small) - qp.T)
         return np.eye(4, dtype=complex) + rt.m * np.kron(ainv, cinv)
     raise ValueError(f"no rung construction for kind {rt.kind!r}")
 
@@ -347,8 +318,8 @@ def quantum_scattering_rung_series(rt, gq, gp, order=40):
     function inputs of small norm.
     """
     g_small = np.diag([1j * rt.gamma, -1j * rt.gamma])
-    mq = gq.as_matrix()
-    mp = gp.as_matrix()
+    mq = np.asarray(gq)
+    mp = np.asarray(gp)
     # sum_{k>=1} (g G)^{k-1} g on each rail
     left = np.zeros((2, 2), dtype=complex)
     right = np.zeros((2, 2), dtype=complex)
@@ -375,7 +346,7 @@ def solve_bethe_salpeter(gq, gp, b):
     which is the physical pole at coincident arguments rather than a
     numerical failure.
     """
-    free = np.kron(gq.as_matrix(), gp.as_matrix().T)
+    free = np.kron(gq, np.transpose(gp))
     system = np.eye(4, dtype=complex) - free @ b
     pole = np.linalg.cond(system) > 1e12
     k = np.linalg.solve(system, free)
@@ -434,7 +405,7 @@ def holo_g_scalar(rt, z):
         return pt_green_scalar(z)
     if rt.kind == "quantum_scattering":
         return qs_green_scalar(z, rt.m, rt.gamma)
-    raise ValueError(rt.kind)
+    raise ValueError(f"unsupported R-transform kind {rt.kind!r}")
 
 
 def h_holomorphic(rt, z1, z2bar):
@@ -495,7 +466,7 @@ def wheel_generating_function(gq, gp, b):
     Principal branch; series extraction should stay in the region where
     the determinant does not wind around zero.
     """
-    free = np.kron(gq.as_matrix(), gp.as_matrix().T)
+    free = np.kron(gq, np.transpose(gp))
     arg = np.eye(4, dtype=complex) - free @ b
     sign, logabs = np.linalg.slogdet(arg)
     if sign == 0:

@@ -13,7 +13,6 @@ import pytest
 from overlap_lab import analytic, estimators, qsolver
 from overlap_lab.ensembles import KINDS, EnsembleSpec, sample_many
 from overlap_lab.estimators import EstimatorConfig
-from overlap_lab.numcore import Quaternion22
 
 _write_line = print
 
@@ -302,10 +301,10 @@ def test_criterion_11_quantum_scattering_rung():
     worst = 0.0
     for _ in range(10):
         vals = 0.05 * (rng.random(16) - 0.5)
-        gq = Quaternion22(vals[0] + 1j * vals[1], vals[2] + 1j * vals[3],
-                          vals[4] + 1j * vals[5], vals[6] + 1j * vals[7])
-        gp = Quaternion22(vals[8] + 1j * vals[9], vals[10] + 1j * vals[11],
-                          vals[12] + 1j * vals[13], vals[14] + 1j * vals[15])
+        gq = np.array([[vals[0] + 1j * vals[1], vals[2] + 1j * vals[3]],
+                       [vals[4] + 1j * vals[5], vals[6] + 1j * vals[7]]])
+        gp = np.array([[vals[8] + 1j * vals[9], vals[10] + 1j * vals[11]],
+                       [vals[12] + 1j * vals[13], vals[14] + 1j * vals[15]]])
         closed = qsolver.build_rung(rt, gq, gp)
         series = qsolver.quantum_scattering_rung_series(rt, gq, gp, order=40)
         worst = max(worst, float(np.max(np.abs(closed - series))))

@@ -98,8 +98,29 @@ class TestEstimate:
 
     def test_o2_requires_pairs(self, tmp_path):
         out = run_sample(tmp_path, n=10, samples=3)
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["estimate", "o2", "--in", str(out)])
+        assert "--pair re1,im1,re2,im2" in str(exc.value)
+
+    def test_estimate_tag_matches_sample_tag(self, tmp_path):
+        # the rejection count the sample run records must not enter the tag
+        out = run_sample(tmp_path, n=10, samples=3)
+        assert main(["estimate", "o1", "--in", str(out),
+                     "--rbins", "4", "--rmax", "1.2"]) == 0
+        with open(out / "eigen.csv") as fh:
+            sample_tag = fh.readline()
+        with open(out / "o1.csv") as fh:
+            assert fh.readline() == sample_tag
+        assert sample_tag.startswith("# manifest ")
+
+    def test_manifest_without_results_loads(self, tmp_path):
+        out = run_sample(tmp_path, n=10, samples=3)
+        path = out / "manifest.json"
+        data = json.loads(path.read_text())
+        del data["results"]
+        path.write_text(json.dumps(data))
+        assert main(["estimate", "rho", "--in", str(out),
+                     "--rbins", "4", "--rmax", "1.2"]) == 0
 
     def test_hprod_and_tracecov(self, tmp_path):
         out = run_sample(tmp_path, n=30, samples=10)

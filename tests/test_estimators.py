@@ -76,6 +76,13 @@ class TestO1:
             assert abs(est.estimate[i] - ref) < max(3.0 * est.stderr[i],
                                                     0.05 * ref)
 
+    def test_trailing_near_defective_draws_counted(self):
+        jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        samples = ginibre_samples(20, 4) + [jordan, jordan]
+        est = estimators.estimate_o1(samples, np.linspace(0.0, 1.2, 4))
+        assert est.n_samples == 4
+        assert est.n_dropped == 2
+
     def test_normal_matrices_give_flat_density_scale(self):
         # for unitary samples O_kk = 1, so the O1 estimate reduces to the
         # spectral density divided by N

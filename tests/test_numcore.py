@@ -1,75 +1,13 @@
-"""Unit tests for the quaternion algebra, Wirtinger derivatives,
-pair histogram and RNG streams."""
+"""Unit tests for the Wirtinger derivatives, pair histogram and RNG
+streams."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from overlap_lab.numcore import (PairHistogram, Quaternion22, RngStream,
-                                 SingularQuaternionError, quaternion_inverse,
+from overlap_lab.numcore import (PairHistogram, RngStream,
                                  wirtinger_mixed_derivative)
-
-finite_complex = st.complex_numbers(allow_nan=False, allow_infinity=False,
-                                    min_magnitude=0.0, max_magnitude=1e6)
-
-
-def quat(q11, q1b, qb1, qbb):
-    return Quaternion22(q11, q1b, qb1, qbb)
-
-
-class TestQuaternion22:
-    def test_from_zw_is_on_shell(self):
-        q = Quaternion22.from_zw(1.5 - 0.25j, 0.125 + 2.0j)
-        assert q.is_on_shell()
-        assert q.q11 == 1.5 - 0.25j
-        assert q.qb1 == 1j * (0.125 + 2.0j)
-
-    def test_matrix_round_trip(self):
-        m = np.array([[1.0 + 2j, 3.0], [0.5j, -1.0]])
-        q = Quaternion22.from_matrix(m)
-        assert np.allclose(q.as_matrix(), m)
-
-    def test_det_matches_numpy(self):
-        q = quat(1 + 1j, 2.0, -0.5j, 3 - 1j)
-        assert q.det == pytest.approx(np.linalg.det(q.as_matrix()))
-
-    @given(finite_complex, finite_complex, finite_complex, finite_complex)
-    @settings(max_examples=50, deadline=None)
-    def test_add_sub_scale_componentwise(self, a, b, c, d):
-        q = quat(a, b, c, d)
-        r = quat(d, c, b, a)
-        s = q + r
-        assert s.q11 == a + d and s.qbb == d + a
-        z = q - q
-        assert z.q11 == 0 and z.q1b == 0 and z.qb1 == 0 and z.qbb == 0
-        t = q.scale(2.0)
-        assert t.q11 == 2.0 * a and t.qbb == 2.0 * d
-
-    @given(st.tuples(*[st.floats(-5, 5) for _ in range(8)]))
-    @settings(max_examples=80, deadline=None)
-    def test_matmul_matches_matrix_product(self, vals):
-        a = quat(vals[0] + 1j * vals[1], vals[2], vals[3], vals[4])
-        b = quat(vals[5], vals[6] - 1j * vals[7], vals[1], vals[0])
-        assert np.allclose((a @ b).as_matrix(),
-                           a.as_matrix() @ b.as_matrix())
-
-    def test_inverse_round_trip(self):
-        q = quat(1 + 1j, 0.5, -0.25j, 2.0)
-        qi = quaternion_inverse(q)
-        assert np.allclose((q @ qi).as_matrix(), np.eye(2), atol=1e-12)
-        assert np.allclose((qi @ q).as_matrix(), np.eye(2), atol=1e-12)
-
-    def test_inverse_singular_raises(self):
-        with pytest.raises(SingularQuaternionError):
-            quaternion_inverse(quat(1.0, 2.0, 2.0, 4.0))
-
-    def test_inverse_relative_threshold(self):
-        # tiny but well-conditioned quaternions must invert fine
-        q = quat(1e-150, 0.0, 0.0, 1e-150)
-        qi = quaternion_inverse(q)
-        assert qi.q11 == pytest.approx(1e150)
-
 
 class TestWirtinger:
     def test_pure_holomorphic_pair(self):
@@ -180,3 +118,26 @@ class TestRngStream:
         a = s.generator().standard_normal(8)
         b = sub.generator().standard_normal(8)
         assert not np.array_equal(a, b)
+
+    def test_substream_zero_is_the_stream(self):
+        a = RngStream(3, 4).generator().standard_normal(8)
+        b = RngStream(3, 4).substream(0).generator().standard_normal(8)
+        assert np.array_equal(a, b)
+
+    @given(st.tuples(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1)),
+           st.tuples(st.integers(0, 2 ** 64 - 1), st.integers(0, 2 ** 64 - 1)))
+    @example((0, 1), (1, 0))
+    @example((1, 0), (0, 1 << 20))
+    @settings(max_examples=200, deadline=None)
+    def test_stream_substream_keys_injective(self, a, b):
+        # (stream, substream) -> generator state is injective: a rejected
+        # draw's redraw never reuses another sample's stream.
+        def state(stream, sub):
+            rs = RngStream(11, stream)
+            if sub:
+                rs = rs.substream(sub)
+            s = rs.generator().bit_generator.state["state"]
+            return tuple(s["key"]) + tuple(s["counter"])
+
+        if a != b:
+            assert state(*a) != state(*b)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from overlap_lab import analytic, qsolver
-from overlap_lab.numcore import Quaternion22
 
 
 class TestEllipticGreen:
@@ -15,15 +14,15 @@ class TestEllipticGreen:
         rt = qsolver.elliptic_rt(1.0, 0.5)
         res = qsolver.solve_green(rt, 4.0)
         assert res.branch == "holomorphic"
-        assert res.g.q11 == pytest.approx(4.0 - math.sqrt(14.0), rel=1e-12)
+        assert res.g[0, 0] == pytest.approx(4.0 - math.sqrt(14.0), rel=1e-12)
         far = qsolver.solve_green(rt, 200.0)
-        assert far.g.q11 * 200.0 == pytest.approx(1.0, rel=1e-3)
+        assert far.g[0, 0] * 200.0 == pytest.approx(1.0, rel=1e-3)
 
     def test_inside_origin(self):
         rt = qsolver.elliptic_rt(1.0, 0.5)
         res = qsolver.solve_green(rt, 0.0)
         assert res.branch == "nonholomorphic"
-        assert res.g.q11 == 0.0
+        assert res.g[0, 0] == 0.0
         # density from the off-diagonal element: rho = G_1b G_b1 ... via
         # the one-point function at the ellipse centre
         assert qsolver.o1_from_green(res) == pytest.approx(
@@ -32,7 +31,7 @@ class TestEllipticGreen:
     def test_tau_zero_is_circular(self):
         rt = qsolver.elliptic_rt(1.0, 0.0)
         res = qsolver.solve_green(rt, 3.0)
-        assert res.g.q11 == pytest.approx(1.0 / 3.0, rel=1e-12)
+        assert res.g[0, 0] == pytest.approx(1.0 / 3.0, rel=1e-12)
 
 
 class TestBiunitaryGreen:
@@ -41,7 +40,7 @@ class TestBiunitaryGreen:
         z = 0.6 * np.exp(0.7j)
         res = qsolver.solve_green(rt, z)
         assert res.branch == "nonholomorphic"
-        assert res.g.q11 == pytest.approx(abs(z) ** 2 / z, rel=1e-12)
+        assert res.g[0, 0] == pytest.approx(abs(z) ** 2 / z, rel=1e-12)
         assert qsolver.o1_from_green(res) == pytest.approx(
             analytic.o1_biunitary(rt.fspec, abs(z)), rel=1e-12)
 
@@ -49,7 +48,7 @@ class TestBiunitaryGreen:
         rt = qsolver.biunitary_rt("product_ginibre")
         res = qsolver.solve_green(rt, 2.0 + 1.0j)
         assert res.branch == "holomorphic"
-        assert res.g.q11 == pytest.approx(1.0 / (2.0 + 1.0j), rel=1e-12)
+        assert res.g[0, 0] == pytest.approx(1.0 / (2.0 + 1.0j), rel=1e-12)
         assert qsolver.o1_from_green(res) == 0.0
 
     def test_inner_hole(self):
@@ -156,7 +155,7 @@ class TestPipeline:
 
     def test_rung_needs_green_results_for_biunitary(self):
         rt = qsolver.biunitary_rt("ginibre")
-        q = Quaternion22.diag(0.5, 0.5)
+        q = np.diag([0.5, 0.5]).astype(complex)
         with pytest.raises(ValueError):
             qsolver.build_rung(rt, q, q)
 
@@ -167,10 +166,10 @@ class TestQuantumScatteringRung:
         rng = np.random.default_rng(7)
         for _ in range(5):
             vals = 0.05 * (rng.random(8) - 0.5)
-            gq = Quaternion22(vals[0] + 1j * vals[1], vals[2], vals[3],
-                              vals[4])
-            gp = Quaternion22(vals[5], vals[6] + 1j * vals[7], vals[1],
-                              vals[0])
+            gq = np.array([[vals[0] + 1j * vals[1], vals[2]],
+                           [vals[3], vals[4]]], dtype=complex)
+            gp = np.array([[vals[5], vals[6] + 1j * vals[7]],
+                           [vals[1], vals[0]]], dtype=complex)
             closed = qsolver.build_rung(rt, gq, gp)
             series = qsolver.quantum_scattering_rung_series(rt, gq, gp,
                                                             order=40)
