@@ -90,8 +90,10 @@ def radial_cdf(kind, alpha=0.0, kappa=1.0):
 def o1_biunitary(fspec, r):
     """One-point eigenvector function F(r)(1 - F(r))/(pi r^2).
 
-    Vanishes outside the support; the r -> 0 limit is finite whenever
-    F ~ c r^2 near the origin and is taken by series there.
+    Vanishes outside the support.  At r = 0 the limit c/pi is finite
+    when F ~ c r^2 near the origin; it is read off F(eps)/eps^2 at small
+    eps.  Where F(r)/r^2 still grows as r -> 0 (product_ginibre, F ~ r)
+    the function diverges and ``inf`` is returned.
     """
     r = float(r)
     if r < 0:
@@ -99,9 +101,10 @@ def o1_biunitary(fspec, r):
     if r == 0.0:
         if fspec.r_in > 0:
             return 0.0
-        # F(r) ~ F'(eps)*... use a small-radius quadratic fit
         eps = 1e-6
         c = fspec(eps) / eps ** 2
+        if c > (1.0 + 1e-3) * fspec(100.0 * eps) / (100.0 * eps) ** 2:
+            return math.inf
         return c / math.pi
     fr = fspec(r)
     return fr * (1.0 - fr) / (math.pi * r ** 2)
@@ -110,8 +113,10 @@ def o1_biunitary(fspec, r):
 def _biunitary_bracket(fspec, z1, z2):
     r1 = abs(z1)
     r2 = abs(z2)
-    o1_1 = o1_biunitary(fspec, r1)
-    o1_2 = o1_biunitary(fspec, r2)
+    # O1 enters multiplied by conj(z1) or z2, which vanish at the origin,
+    # where O1 itself may diverge (product_ginibre): that product is 0
+    o1_1 = o1_biunitary(fspec, r1) if r1 > 0 else 0.0
+    o1_2 = o1_biunitary(fspec, r2) if r2 > 0 else 0.0
     num = (np.conj(z1) * (z1 - z2) * o1_1
            + z2 * (np.conj(z1) - np.conj(z2)) * o1_2)
     den = abs(z1 - z2) ** 2 * (fspec(r1) - fspec(r2))

@@ -20,8 +20,10 @@ import numpy as np
 from . import __version__
 from . import analytic, estimators, qsolver
 from .ensembles import KINDS, EnsembleSpec, sample_many
-from .overlaps import (eig_biorthogonal, eigen_rows, overlap_matrix,
-                       pair_rows, write_eigen_csv, write_pairs_csv)
+from .numcore import RngStream
+from .overlaps import (NearDefectiveError, eig_biorthogonal, eigen_rows,
+                       overlap_matrix, pair_rows, write_eigen_csv,
+                       write_pairs_csv)
 
 
 def _apply_thread_cap():
@@ -95,6 +97,11 @@ def _manifest_samples(manifest):
     return sample_many(spec, manifest.seed, manifest.params["samples"])
 
 
+# Stream index of the pair-subsampling generator: no ``sample_many``
+# run can reach it, so its draws never repeat a sample stream's.
+PAIR_SUBSAMPLE_STREAM = 2 ** 64 - 1
+
+
 def cmd_sample(args):
     os.makedirs(args.out, exist_ok=True)
     params = {"ensemble": args.ensemble, "n": args.n, "samples": args.samples,
@@ -106,27 +113,33 @@ def cmd_sample(args):
                            created=time.strftime("%Y-%m-%dT%H:%M:%S"))
     tag = f"manifest {manifest.params_hash()}"
     spec = _ensemble_spec_from_params(params)
-    erows, prows = [], []
-    rejections = 0
-    sub_rng = np.random.Generator(np.random.Philox(key=args.seed ^ 0xA5A5))
+    eblocks, pblocks = [], []
+    rejections = n_dropped = 0
+    sub_rng = RngStream(args.seed, PAIR_SUBSAMPLE_STREAM).generator()
     for k, x, info in sample_many(spec, args.seed, args.samples):
         rejections += info.get("rejections", 0)
-        es = eig_biorthogonal(x)
+        try:
+            es = eig_biorthogonal(x)
+        except NearDefectiveError:
+            n_dropped += 1
+            continue
         o = overlap_matrix(es)
-        erows.extend(eigen_rows(k, es, np.real(np.diagonal(o))))
-        prows.extend(pair_rows(k, es, o,
-                               min_separation=args.min_separation,
-                               subsample=args.pair_subsample,
-                               rng=sub_rng))
+        eblocks.append(eigen_rows(k, es, np.real(np.diagonal(o))))
+        pblocks.append(pair_rows(k, es, o,
+                                 min_separation=args.min_separation,
+                                 subsample=args.pair_subsample,
+                                 rng=sub_rng))
     eigen_path = os.path.join(args.out, "eigen.csv")
     pairs_path = os.path.join(args.out, "pairs.csv")
-    write_eigen_csv(eigen_path, erows, header_comment=tag)
-    write_pairs_csv(pairs_path, prows, header_comment=tag)
+    write_eigen_csv(eigen_path, eblocks, header_comment=tag)
+    write_pairs_csv(pairs_path, pblocks, header_comment=tag)
     manifest.results["rejections"] = rejections
+    manifest.results["n_dropped"] = n_dropped
     manifest.record_output(eigen_path)
     manifest.record_output(pairs_path)
     manifest.write(os.path.join(args.out, "manifest.json"))
-    print(f"wrote {len(erows)} eigen rows, {len(prows)} pair rows to {args.out}")
+    print(f"wrote {sum(map(len, eblocks))} eigen rows, "
+          f"{sum(map(len, pblocks))} pair rows to {args.out}")
     return 0
 
 

@@ -5,6 +5,12 @@ matrix, so biorthogonality ``<L_i|R_j> = delta_ij`` and completeness
 ``sum_k R_k L_k = 1`` hold by construction up to inversion error.  As a
 consequence the row-sum identity ``sum_l O_kl = 1`` is exact per matrix
 and serves as the main numerical self-check.
+
+The CSV writers take per-sample column blocks (:class:`EigenBlock`,
+:class:`PairBlock`) and format them in one pass.  The layout of
+eigen.csv and pairs.csv is the one ``csv.writer`` gives for row tuples
+(shortest round-trip float text, ``\\r\\n`` row ends), so the bytes are
+those of a per-row writer loop.
 """
 
 import csv
@@ -94,66 +100,104 @@ def diagonal_overlaps(es):
     return ln * rn
 
 
+@dataclass(frozen=True, eq=False)
+class EigenBlock:
+    """The eigen.csv rows of one sample, held as columns."""
+
+    sample_id: int
+    eigenvalues: np.ndarray
+    o_kk: np.ndarray
+
+    def __len__(self):
+        return len(self.eigenvalues)
+
+
+@dataclass(frozen=True, eq=False)
+class PairBlock:
+    """The pairs.csv rows of one sample: row i is the pair ``(k[i], l[i])``."""
+
+    sample_id: int
+    eigenvalues: np.ndarray
+    k: np.ndarray
+    l: np.ndarray
+    o_kl: np.ndarray
+
+    def __len__(self):
+        return len(self.k)
+
+
+def _write_header(fh, header_comment, columns):
+    if header_comment:
+        fh.write(f"# {header_comment}\n")
+    csv.writer(fh).writerow(columns)
+
+
+def _coordinates(lam):
+    """The ``re,im`` text of each eigenvalue, as the csv module writes it."""
+    return [f"{re!r},{im!r}"
+            for re, im in zip(lam.real.tolist(), lam.imag.tolist())]
+
+
 def write_eigen_csv(path, rows, header_comment=None):
-    """Write eigen.csv rows: sample_id, k, re_lambda, im_lambda, O_kk_real."""
+    """Write :func:`eigen_rows` blocks to eigen.csv.
+
+    Columns: sample_id, k, re_lambda, im_lambda, o_kk.
+    """
     with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "k", "re_lambda", "im_lambda", "o_kk"])
-        for row in rows:
-            writer.writerow(row)
+        _write_header(fh, header_comment, ["sample_id", "k", "re_lambda",
+                                           "im_lambda", "o_kk"])
+        for block in rows:
+            fh.writelines(
+                f"{block.sample_id},{k},{xy},{o!r}\r\n"
+                for k, (xy, o) in enumerate(zip(
+                    _coordinates(block.eigenvalues), block.o_kk.tolist())))
 
 
 def write_pairs_csv(path, rows, header_comment=None):
-    """Write pairs.csv rows:
+    """Write :func:`pair_rows` blocks to pairs.csv.
 
-    sample_id, k, l, re_lambda_k, im_lambda_k, re_lambda_l, im_lambda_l,
-    re_o_kl, im_o_kl
+    Columns: sample_id, k, l, re_lambda_k, im_lambda_k, re_lambda_l,
+    im_lambda_l, re_o_kl, im_o_kl.  Each eigenvalue's coordinates are
+    formatted once per sample; only the overlap is formatted per row.
     """
     with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "k", "l",
-                         "re_lambda_k", "im_lambda_k",
-                         "re_lambda_l", "im_lambda_l",
-                         "re_o_kl", "im_o_kl"])
-        for row in rows:
-            writer.writerow(row)
+        _write_header(fh, header_comment,
+                      ["sample_id", "k", "l", "re_lambda_k", "im_lambda_k",
+                       "re_lambda_l", "im_lambda_l", "re_o_kl", "im_o_kl"])
+        for block in rows:
+            xy = _coordinates(block.eigenvalues)
+            fh.writelines(
+                f"{block.sample_id},{k},{l},{xy[k]},{xy[l]},{re!r},{im!r}\r\n"
+                for k, l, re, im in zip(block.k.tolist(), block.l.tolist(),
+                                        block.o_kl.real.tolist(),
+                                        block.o_kl.imag.tolist()))
 
 
 def eigen_rows(sample_id, es, overlaps_diag=None):
-    """Rows for :func:`write_eigen_csv` from one eigensystem."""
+    """The :func:`write_eigen_csv` block of one eigensystem."""
     if overlaps_diag is None:
         overlaps_diag = diagonal_overlaps(es)
-    lam = es.eigenvalues
-    return [(sample_id, k, lam[k].real, lam[k].imag, float(overlaps_diag[k].real))
-            for k in range(es.n)]
+    return EigenBlock(sample_id, es.eigenvalues, np.real(overlaps_diag))
 
 
 def pair_rows(sample_id, es, o=None, min_separation=0.0, subsample=None,
               rng=None):
-    """Rows for :func:`write_pairs_csv`, optionally thinned.
+    """The :func:`write_pairs_csv` block of one eigensystem, optionally thinned.
 
-    ``min_separation`` drops pairs closer than the given eigenvalue
-    distance; ``subsample`` keeps each remaining pair with the given
-    probability (requires ``rng``).
+    Pairs ``k != l`` are taken in row-major order.  ``min_separation``
+    drops pairs closer than the given eigenvalue distance; ``subsample``
+    keeps each remaining pair with the given probability (requires
+    ``rng``), drawing one uniform per candidate pair in that order.
     """
     if o is None:
         o = overlap_matrix(es)
     lam = es.eigenvalues
-    n = es.n
-    rows = []
-    for k in range(n):
-        for l in range(n):
-            if k == l:
-                continue
-            if min_separation > 0 and abs(lam[k] - lam[l]) < min_separation:
-                continue
-            if subsample is not None and rng.random() > subsample:
-                continue
-            rows.append((sample_id, k, l,
-                         lam[k].real, lam[k].imag, lam[l].real, lam[l].imag,
-                         o[k, l].real, o[k, l].imag))
-    return rows
+    k, l = np.nonzero(~np.eye(es.n, dtype=bool))
+    # the masks negate the drop conditions, so a NaN is kept, not dropped
+    if min_separation > 0:
+        keep = ~(np.abs(lam[k] - lam[l]) < min_separation)
+        k, l = k[keep], l[keep]
+    if subsample is not None:
+        keep = ~(rng.random(len(k)) > subsample)
+        k, l = k[keep], l[keep]
+    return PairBlock(sample_id, lam, k, l, o[k, l])

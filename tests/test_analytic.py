@@ -52,6 +52,25 @@ class TestO1Biunitary:
         assert analytic.o1_biunitary(fs, 0.0) == pytest.approx(1 / math.pi,
                                                                rel=1e-5)
 
+    @pytest.mark.parametrize("kind, kwargs, limit", [
+        ("ginibre", {}, 1 / math.pi),
+        ("truncated_unitary", {"kappa": 3.0}, 3 / math.pi),
+        ("spherical", {}, 1 / math.pi),
+        ("induced_ginibre", {"alpha": 0.5}, 0.0),
+    ])
+    def test_origin_finite_limits(self, kind, kwargs, limit):
+        fs = analytic.radial_cdf(kind, **kwargs)
+        assert analytic.o1_biunitary(fs, 0.0) == pytest.approx(limit,
+                                                               rel=1e-5)
+
+    def test_origin_divergence(self):
+        # F ~ r near the origin, so F(1-F)/(pi r^2) ~ 1/(pi r)
+        fs = analytic.radial_cdf("product_ginibre")
+        assert analytic.o1_biunitary(fs, 0.0) == math.inf
+        # the master-formula stencil around z2 = h touches the origin,
+        # where the bracket takes z2 O1(|z2|) as 0
+        assert np.isfinite(analytic.o2_biunitary(fs, 0.4, 1e-3))
+
     def test_vanishes_outside_support(self):
         fs = analytic.radial_cdf("induced_ginibre", alpha=1.0)
         assert analytic.o1_biunitary(fs, 0.5) == 0.0

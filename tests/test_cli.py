@@ -1,13 +1,17 @@
 """End-to-end tests of the command line interface."""
 
 import csv
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
+from overlap_lab import cli
 from overlap_lab.cli import _apply_thread_cap, _complex_arg, main
+from overlap_lab.ensembles import EnsembleSpec, sample_many
+from overlap_lab.numcore import RngStream
 
 
 def read_csv(path):
@@ -67,6 +71,58 @@ class TestSample:
         b = run_sample(tmp_path, name="b")
         assert (a / "eigen.csv").read_bytes() == (b / "eigen.csv").read_bytes()
         assert (a / "pairs.csv").read_bytes() == (b / "pairs.csv").read_bytes()
+
+    def test_csv_bytes_pinned(self, tmp_path):
+        # digests of the per-row csv.writer output for this run (ginibre,
+        # N=12, 3 samples, seed 7) on the reference platform
+        out = run_sample(tmp_path)
+        digest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                  for name in ("eigen.csv", "pairs.csv")}
+        assert digest == {
+            "eigen.csv": "829f8cf5fb8628408dba5fa7b44d6fe7"
+                         "397da0e5a4462c817f7cd60c99963eb4",
+            "pairs.csv": "e900e8b55409b52c746e3368d08acc8a"
+                         "075190880676fb91049f3a1be02d791d"}
+
+    def test_pair_subsample_stream_is_reserved(self, tmp_path):
+        out = run_sample(tmp_path, n=6, samples=2,
+                         extra=("--pair-subsample", "0.5"))
+        got = [(int(r["sample_id"]), int(r["k"]), int(r["l"]))
+               for r in read_csv(out / "pairs.csv")]
+
+        def kept(stream):
+            u = iter(stream.generator().random(2 * 6 * 5))
+            return [(s, k, l) for s in range(2) for k in range(6)
+                    for l in range(6) if k != l and not next(u) > 0.5]
+
+        assert got == kept(RngStream(7, 2 ** 64 - 1))
+        # Philox(key=seed ^ 0xA5A5) is sample stream seed ^ 0xA5A5 of a
+        # seed-0 run; the subsampling draws must not be those
+        assert got != kept(RngStream(0, 7 ^ 0xA5A5))
+
+    def test_near_defective_draw_dropped(self, tmp_path, monkeypatch):
+        n = 10
+        draws = list(sample_many(EnsembleSpec("ginibre", n), 7, 3))
+        jordan = np.eye(n, k=1) + 0.5 * np.eye(n)
+
+        def with_jordan(spec, seed, n_samples):
+            yield draws[0]
+            yield 1, jordan, {}
+            yield draws[2]
+
+        monkeypatch.setattr(cli, "sample_many", with_jordan)
+        out = run_sample(tmp_path, name="dropped", n=n, samples=3)
+        monkeypatch.undo()
+        full = run_sample(tmp_path, name="full", n=n, samples=3)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["results"]["n_dropped"] == 1
+        assert "n_dropped" not in manifest["params"]
+        eigen = read_csv(out / "eigen.csv")
+        assert {r["sample_id"] for r in eigen} == {"0", "2"}
+        assert eigen == [r for r in read_csv(full / "eigen.csv")
+                         if r["sample_id"] != "1"]
+        assert {r["sample_id"] for r in read_csv(out / "pairs.csv")} == \
+            {"0", "2"}
 
     def test_pair_thinning(self, tmp_path):
         dense = run_sample(tmp_path, name="dense")

@@ -1,5 +1,7 @@
 """Unit tests for the biorthogonal eigendecomposition and overlap matrix."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -106,9 +108,9 @@ class TestCsvRows:
         es = eig_biorthogonal(ginibre(6))
         rows = eigen_rows(3, es)
         assert len(rows) == 6
-        assert all(r[0] == 3 for r in rows)
+        assert rows.sample_id == 3
         path = tmp_path / "eigen.csv"
-        write_eigen_csv(path, rows, header_comment="tag abc")
+        write_eigen_csv(path, [rows], header_comment="tag abc")
         text = path.read_text().splitlines()
         assert text[0] == "# tag abc"
         assert text[1].startswith("sample_id,")
@@ -127,5 +129,87 @@ class TestCsvRows:
         thinned = pair_rows(0, es, subsample=0.25, rng=rng)
         assert len(thinned) < len(all_rows)
         path = tmp_path / "pairs.csv"
-        write_pairs_csv(path, all_rows)
+        write_pairs_csv(path, [all_rows])
         assert len(path.read_text().splitlines()) == 1 + 56
+
+
+# The per-row writers the block writers replace, kept as the byte reference.
+def reference_eigen_rows(sample_id, es, overlaps_diag):
+    lam = es.eigenvalues
+    return [(sample_id, k, lam[k].real, lam[k].imag,
+             float(overlaps_diag[k].real)) for k in range(es.n)]
+
+
+def reference_pair_rows(sample_id, es, o, min_separation=0.0,
+                        subsample=None, rng=None):
+    lam = es.eigenvalues
+    rows = []
+    for k in range(es.n):
+        for l in range(es.n):
+            if k == l:
+                continue
+            if min_separation > 0 and abs(lam[k] - lam[l]) < min_separation:
+                continue
+            if subsample is not None and rng.random() > subsample:
+                continue
+            rows.append((sample_id, k, l,
+                         lam[k].real, lam[k].imag, lam[l].real, lam[l].imag,
+                         o[k, l].real, o[k, l].imag))
+    return rows
+
+
+def reference_csv(path, header, rows, header_comment):
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+class TestCsvBytes:
+    """The block writers give the bytes of the per-row csv.writer loop."""
+
+    def systems(self):
+        # sample 1 is N=1: an eigen row but no pairs
+        mats = [ginibre(9, stream=0), np.array([[0.3 - 0.2j]]),
+                ginibre(2, seed=4), ginibre(12, stream=3)]
+        return [(sid, eig_biorthogonal(x)) for sid, x in enumerate(mats)]
+
+    def test_eigen_csv_bytes(self, tmp_path):
+        blocks, rows = [], []
+        for sid, es in self.systems():
+            d = np.real(np.diagonal(overlap_matrix(es)))
+            blocks.append(eigen_rows(sid, es, d))
+            rows.extend(reference_eigen_rows(sid, es, d))
+        write_eigen_csv(tmp_path / "new.csv", blocks, header_comment="tag")
+        reference_csv(tmp_path / "ref.csv", ["sample_id", "k", "re_lambda",
+                                             "im_lambda", "o_kk"],
+                      rows, "tag")
+        assert sum(map(len, blocks)) == len(rows) == 9 + 1 + 2 + 12
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"min_separation": 1.0}, {"subsample": 0.3},
+        {"min_separation": 1.0, "subsample": 0.5}],
+        ids=["all", "min_separation", "subsample", "both"])
+    def test_pairs_csv_bytes(self, tmp_path, kwargs):
+        rng_new = np.random.default_rng(11)
+        rng_ref = np.random.default_rng(11)
+        blocks, rows = [], []
+        for sid, es in self.systems():
+            o = overlap_matrix(es)
+            blocks.append(pair_rows(sid, es, o, rng=rng_new, **kwargs))
+            rows.extend(reference_pair_rows(sid, es, o, rng=rng_ref,
+                                            **kwargs))
+        assert len(blocks[1]) == 0
+        write_pairs_csv(tmp_path / "new.csv", blocks, header_comment="tag")
+        reference_csv(tmp_path / "ref.csv", [
+            "sample_id", "k", "l", "re_lambda_k", "im_lambda_k",
+            "re_lambda_l", "im_lambda_l", "re_o_kl", "im_o_kl"], rows, "tag")
+        assert sum(map(len, blocks)) == len(rows) > 0
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+        # both generators consumed the same number of draws
+        assert rng_new.random() == rng_ref.random()
