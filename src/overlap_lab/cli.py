@@ -21,18 +21,8 @@ from . import __version__
 from . import analytic, estimators, qsolver
 from .ensembles import KINDS, EnsembleSpec, sample_many
 from .numcore import RngStream
-from .overlaps import (NearDefectiveError, eig_biorthogonal, eigen_rows,
-                       overlap_matrix, pair_rows, write_eigen_csv,
+from .overlaps import (EigenSystems, eigen_rows, pair_rows, write_eigen_csv,
                        write_pairs_csv)
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("OVERLAP_LAB_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
 
 
 def _complex_arg(text):
@@ -114,16 +104,10 @@ def cmd_sample(args):
     tag = f"manifest {manifest.params_hash()}"
     spec = _ensemble_spec_from_params(params)
     eblocks, pblocks = [], []
-    rejections = n_dropped = 0
     sub_rng = RngStream(args.seed, PAIR_SUBSAMPLE_STREAM).generator()
-    for k, x, info in sample_many(spec, args.seed, args.samples):
-        rejections += info.get("rejections", 0)
-        try:
-            es = eig_biorthogonal(x)
-        except NearDefectiveError:
-            n_dropped += 1
-            continue
-        o = overlap_matrix(es)
+    systems = EigenSystems(sample_many(spec, args.seed, args.samples),
+                           overlaps=True)
+    for k, es, o in systems:
         eblocks.append(eigen_rows(k, es, np.real(np.diagonal(o))))
         pblocks.append(pair_rows(k, es, o,
                                  min_separation=args.min_separation,
@@ -133,8 +117,8 @@ def cmd_sample(args):
     pairs_path = os.path.join(args.out, "pairs.csv")
     write_eigen_csv(eigen_path, eblocks, header_comment=tag)
     write_pairs_csv(pairs_path, pblocks, header_comment=tag)
-    manifest.results["rejections"] = rejections
-    manifest.results["n_dropped"] = n_dropped
+    manifest.results["rejections"] = systems.rejections
+    manifest.results["n_dropped"] = systems.n_dropped
     manifest.record_output(eigen_path)
     manifest.record_output(pairs_path)
     manifest.write(os.path.join(args.out, "manifest.json"))
@@ -411,7 +395,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

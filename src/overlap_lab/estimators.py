@@ -2,8 +2,13 @@
 
 All estimators consume an iterable of sample matrices (bare arrays or
 ``(index, matrix, info)`` triples as produced by
-:func:`overlap_lab.ensembles.sample_many`), eigendecompose each sample
-once, and accumulate binned statistics with batch-means error bars.
+:func:`overlap_lab.ensembles.sample_many`) and pull one sample at a
+time, finishing its work before the next pull.  The eigenvalue-based
+estimators decompose each sample once through
+:class:`overlap_lab.overlaps.EigenSystems`, which drops and counts
+near-defective draws.  Each estimator maps a sample to a ``(value,
+count)`` contribution, and one batching routine averages the
+contributions over round-robin batches for batch-means error bars.
 """
 
 import csv
@@ -13,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numcore import PairHistogram
-from .overlaps import (NearDefectiveError, diagonal_overlaps,
-                       eig_biorthogonal, overlap_matrix)
+from .overlaps import (EigenSystems, diagonal_overlaps, eig_biorthogonal,
+                       iter_samples, overlap_matrix)
 
 __all__ = [
     "EstimatorConfig",
@@ -82,14 +87,6 @@ class ScalarEstimate:
     n_samples: int
 
 
-def _iter_matrices(samples):
-    for item in samples:
-        if isinstance(item, tuple):
-            yield item[1]
-        else:
-            yield item
-
-
 def _batch_stats(batch_values, batch_weights=None):
     """Mean and standard error across batches.
 
@@ -108,60 +105,63 @@ def _batch_stats(batch_values, batch_weights=None):
     return mean, err
 
 
-class _BatchAccumulator:
-    """Accumulates per-sample contributions into round-robin batches."""
+def _batch_means(contributions, n_batches):
+    """Batch means of per-sample ``(value, count)`` contributions.
 
-    def __init__(self, shape, n_batches):
-        self.sums = np.zeros((n_batches,) + tuple(shape), dtype=complex)
-        self.counts = np.zeros(n_batches, dtype=np.int64)
-        self.n_batches = n_batches
-        self._i = 0
-
-    def add(self, contribution):
-        b = self._i % self.n_batches
-        self.sums[b] += contribution
-        self.counts[b] += 1
-        self._i += 1
-
-    def finalize(self):
-        if (self.counts == 0).any():
-            used = self.counts > 0
-            sums = self.sums[used]
-            counts = self.counts[used]
-        else:
-            sums, counts = self.sums, self.counts
-        if len(counts) < 2:
-            raise ValueError("need at least 2 non-empty batches")
-        per_batch = sums / counts[(slice(None),) + (np.newaxis,) * (sums.ndim - 1)]
-        mean, err = _batch_stats(per_batch, counts)
-        return mean, err, int(self.counts.sum())
-
-
-class _EigenSystems:
-    """Iterates ``(eigensystem, overlaps or None)`` per sample.
-
-    Near-defective draws are dropped and counted in ``dropped``, whether
-    or not an accepted sample follows them.
+    Contribution i joins batch ``i % n_batches`` in arrival order.
+    Returns the mean value with its batch-means standard error over the
+    non-empty batches, the summed counts and the number of
+    contributions.
     """
+    sums = total = None
+    sizes = np.zeros(n_batches, dtype=np.int64)
+    for i, (value, count) in enumerate(contributions):
+        if sums is None:
+            sums = np.zeros((n_batches,) + np.shape(value), dtype=complex)
+            total = np.zeros(np.shape(count), dtype=np.int64)
+        sums[i % n_batches] += value
+        sizes[i % n_batches] += 1
+        total += count
+    used = sizes > 0
+    if used.sum() < 2:
+        raise ValueError("need at least 2 non-empty batches")
+    shape = (-1,) + (1,) * (sums.ndim - 1)
+    mean, err = _batch_stats(sums[used] / sizes[used].reshape(shape),
+                             sizes[used])
+    return mean, err, total, int(sizes.sum())
 
-    def __init__(self, samples, config, need_overlaps):
-        self.samples = samples
-        self.config = config
-        self.need_overlaps = need_overlaps
-        self.dropped = 0
 
-    def __iter__(self):
-        for x in _iter_matrices(self.samples):
-            try:
-                es = eig_biorthogonal(x, cond_limit=self.config.cond_limit)
-            except NearDefectiveError:
-                self.dropped += 1
-                continue
-            yield es, overlap_matrix(es) if self.need_overlaps else None
+def _eigen_batch_means(samples, config, contribution, overlaps=False):
+    """:func:`_batch_means` of ``contribution(es, o)`` over decomposed samples.
+
+    Returns ``(mean, stderr, count, n_used, n_dropped)``.
+    """
+    systems = EigenSystems(samples, config.cond_limit, overlaps)
+    return (*_batch_means((contribution(es, o) for _, es, o in systems),
+                          config.n_batches), systems.n_dropped)
 
 
-def _annulus_areas(edges):
-    return np.pi * (edges[1:] ** 2 - edges[:-1] ** 2)
+def _radial(samples, radial_edges, config, o1):
+    """Per-annulus eigenvalue mass, weighted by O_kk / N when ``o1`` is set."""
+    edges = np.asarray(radial_edges, dtype=float)
+    areas = np.pi * (edges[1:] ** 2 - edges[:-1] ** 2)
+
+    def contribution(es, _):
+        r = np.abs(es.eigenvalues)
+        count, _ = np.histogram(r, bins=edges)
+        if not o1:
+            return count / es.n, count
+        mass, _ = np.histogram(r, bins=edges,
+                               weights=diagonal_overlaps(es).real)
+        return mass / es.n ** 2, count
+
+    mean, err, count, n_used, n_dropped = _eigen_batch_means(
+        samples, config, contribution)
+    if count.sum() == 0:
+        warnings.warn("no eigenvalues fell into the declared bins")
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    return BinnedEstimate(centers[:, None], mean.real / areas, err / areas,
+                          count, n_used, n_dropped)
 
 
 def estimate_density(samples, radial_edges, config=EstimatorConfig()):
@@ -171,22 +171,7 @@ def estimate_density(samples, radial_edges, config=EstimatorConfig()):
     (sum over bins times annulus areas) is <= 1, with equality when the
     bins cover the spectrum.
     """
-    edges = np.asarray(radial_edges, dtype=float)
-    areas = _annulus_areas(edges)
-    acc = _BatchAccumulator((len(edges) - 1,), config.n_batches)
-    cnt = np.zeros(len(edges) - 1, dtype=np.int64)
-    systems = _EigenSystems(samples, config, False)
-    for es, _ in systems:
-        r = np.abs(es.eigenvalues)
-        hist, _ = np.histogram(r, bins=edges)
-        cnt += hist.astype(np.int64)
-        acc.add(hist / es.n)
-    mean, err, n_used = acc.finalize()
-    if mean.sum() == 0:
-        warnings.warn("no eigenvalues fell into the declared bins")
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return BinnedEstimate(centers[:, None], mean.real / areas, err / areas,
-                          cnt, n_used, systems.dropped)
+    return _radial(samples, radial_edges, config, o1=False)
 
 
 def estimate_density_real(samples, edges, config=EstimatorConfig(),
@@ -198,25 +183,23 @@ def estimate_density_real(samples, edges, config=EstimatorConfig(),
     the complex-eigenvalue fraction is reported in ``complex_fraction``.
     """
     edges = np.asarray(edges, dtype=float)
-    widths = np.diff(edges)
-    acc = _BatchAccumulator((len(edges) - 1,), config.n_batches)
-    cnt = np.zeros(len(edges) - 1, dtype=np.int64)
-    n_total = 0
-    n_complex = 0
-    systems = _EigenSystems(samples, config, False)
-    for es, _ in systems:
+    n_total = n_complex = 0
+
+    def contribution(es, _):
+        nonlocal n_total, n_complex
         lam = es.eigenvalues
-        scale = np.maximum(np.abs(lam), 1.0)
-        real_mask = np.abs(lam.imag) <= imag_tol * scale
+        real_mask = np.abs(lam.imag) <= imag_tol * np.maximum(np.abs(lam), 1.0)
         n_total += es.n
         n_complex += int(np.sum(~real_mask))
-        hist, _ = np.histogram(lam.real[real_mask], bins=edges)
-        cnt += hist.astype(np.int64)
-        acc.add(hist / es.n)
-    mean, err, n_used = acc.finalize()
+        count, _ = np.histogram(lam.real[real_mask], bins=edges)
+        return count / es.n, count
+
+    mean, err, count, n_used, n_dropped = _eigen_batch_means(
+        samples, config, contribution)
+    widths = np.diff(edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     out = BinnedEstimate(centers[:, None], mean.real / widths, err / widths,
-                         cnt, n_used, systems.dropped)
+                         count, n_used, n_dropped)
     out.complex_fraction = n_complex / max(n_total, 1)
     return out
 
@@ -227,22 +210,20 @@ def estimate_o1(samples, radial_edges, config=EstimatorConfig()):
     Bins <(1/N) sum_k O_kk delta2(z - lambda_k)> and divides by N, the
     standard scaling that keeps the bulk value finite at large N.
     """
-    edges = np.asarray(radial_edges, dtype=float)
-    areas = _annulus_areas(edges)
-    acc = _BatchAccumulator((len(edges) - 1,), config.n_batches)
-    cnt = np.zeros(len(edges) - 1, dtype=np.int64)
-    systems = _EigenSystems(samples, config, False)
-    for es, _ in systems:
-        r = np.abs(es.eigenvalues)
-        okk = diagonal_overlaps(es).real
-        hist, _ = np.histogram(r, bins=edges, weights=okk)
-        c, _ = np.histogram(r, bins=edges)
-        cnt += c.astype(np.int64)
-        acc.add(hist / es.n ** 2)
-    mean, err, n_used = acc.finalize()
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return BinnedEstimate(centers[:, None], mean.real / areas, err / areas,
-                          cnt, n_used, systems.dropped)
+    return _radial(samples, radial_edges, config, o1=True)
+
+
+def _separated(es, o, delta_min):
+    """Zero the diagonal of ``o`` and its pairs closer than ``delta_min``.
+
+    Works in place and returns the mask of pairs at least ``delta_min``
+    apart.
+    """
+    lam = es.eigenvalues
+    keep = np.abs(lam[:, None] - lam[None, :]) >= delta_min
+    np.fill_diagonal(o, 0.0)
+    o[~keep] = 0.0
+    return keep
 
 
 def estimate_o2_windows(samples, windows, half_width,
@@ -256,30 +237,27 @@ def estimate_o2_windows(samples, windows, half_width,
     """
     windows = [(complex(z), complex(w)) for z, w in windows]
     area = (2.0 * half_width) ** 2
-    acc = _BatchAccumulator((len(windows),), config.n_batches)
-    cnt = np.zeros(len(windows), dtype=np.int64)
-    systems = _EigenSystems(samples, config, True)
-    for es, o in systems:
+
+    def contribution(es, o):
         lam = es.eigenvalues
-        np.fill_diagonal(o, 0.0)
-        sep = np.abs(lam[:, None] - lam[None, :])
-        if config.delta_min > 0:
-            o = np.where(sep >= config.delta_min, o, 0.0)
-        contrib = np.zeros(len(windows), dtype=complex)
+        keep = _separated(es, o, config.delta_min)
+        value = np.zeros(len(windows), dtype=complex)
+        count = np.zeros(len(windows), dtype=np.int64)
         for i, (z, w) in enumerate(windows):
             in1 = ((np.abs(lam.real - z.real) < half_width)
                    & (np.abs(lam.imag - z.imag) < half_width))
             in2 = ((np.abs(lam.real - w.real) < half_width)
                    & (np.abs(lam.imag - w.imag) < half_width))
             mask = in1[:, None] & in2[None, :]
-            contrib[i] = o[mask].sum()
-            cnt[i] += int(np.count_nonzero(mask & (sep >= config.delta_min)
-                                           if config.delta_min > 0 else mask))
-        acc.add(contrib / (es.n * area ** 2))
-    mean, err, n_used = acc.finalize()
+            value[i] = o[mask].sum()
+            count[i] = np.count_nonzero(mask & keep)
+        return value / (es.n * area ** 2), count
+
+    mean, err, count, n_used, n_dropped = _eigen_batch_means(
+        samples, config, contribution, overlaps=True)
     centers = np.array([[z.real, z.imag, w.real, w.imag]
                         for z, w in windows])
-    return BinnedEstimate(centers, mean, err, cnt, n_used, systems.dropped)
+    return BinnedEstimate(centers, mean, err, count, n_used, n_dropped)
 
 
 def estimate_o2_real_pairs(samples, edges, config=EstimatorConfig()):
@@ -290,34 +268,25 @@ def estimate_o2_real_pairs(samples, edges, config=EstimatorConfig()):
     giving a grid of O_2(x, y) estimates.
     """
     edges = np.asarray(edges, dtype=float)
-    n_bins = len(edges) - 1
-    hists = [PairHistogram(edges, edges) for _ in range(config.n_batches)]
-    i = 0
-    systems = _EigenSystems(samples, config, True)
-    for es, o in systems:
-        lam = es.eigenvalues
-        np.fill_diagonal(o, 0.0)
-        if config.delta_min > 0:
-            sep = np.abs(lam[:, None] - lam[None, :])
-            o = np.where(sep >= config.delta_min, o, 0.0)
-        kk, ll = np.meshgrid(np.arange(es.n), np.arange(es.n), indexing="ij")
-        off = kk != ll
-        hists[i % config.n_batches].accumulate(
-            lam.real[kk[off]], lam.real[ll[off]], o[off] / es.n)
-        i += 1
-    areas = hists[0].bin_areas()
-    per_batch = np.array([h.weight / max(h.n_matrices, 1) / areas
-                          for h in hists if h.n_matrices > 0])
-    weights = np.array([h.n_matrices for h in hists if h.n_matrices > 0])
-    mean, err = _batch_stats(per_batch, weights)
-    count = sum(h.count for h in hists)
+    areas = PairHistogram(edges, edges).bin_areas()
+
+    def contribution(es, o):
+        _separated(es, o, config.delta_min)
+        k, l = np.nonzero(~np.eye(es.n, dtype=bool))
+        x = es.eigenvalues.real
+        hist = PairHistogram(edges, edges)
+        hist.accumulate(x[k], x[l], o[k, l] / es.n)
+        return hist.weight, hist.count
+
+    mean, err, count, n_used, n_dropped = _eigen_batch_means(
+        samples, config, contribution, overlaps=True)
     centers = 0.5 * (edges[:-1] + edges[1:])
     out = BinnedEstimate(
         np.array([[a, b] for a in centers for b in centers]),
-        mean, err, count, int(weights.sum()), systems.dropped)
+        mean / areas, err / areas, count, n_used, n_dropped)
     out.grid_centers = centers
-    out.grid_estimate = mean
-    out.grid_stderr = err
+    out.grid_estimate = out.estimate
+    out.grid_stderr = out.stderr
     return out
 
 
@@ -330,19 +299,23 @@ def estimate_traced_resolvent_product(samples, z1, z2,
     """
     z1 = complex(z1)
     z2bar = np.conj(complex(z2))
-    acc = _BatchAccumulator((), config.n_batches)
-    warned = False
-    for x in _iter_matrices(samples):
-        n = x.shape[0]
-        eye = np.eye(n)
-        a = np.linalg.solve(z1 * eye - x, eye)
-        b = np.linalg.solve(z2bar * eye - x.conj().T, eye)
-        if not warned and max(np.linalg.norm(a, "fro"),
-                              np.linalg.norm(b, "fro")) > np.sqrt(n) / margin:
-            warnings.warn("evaluation point close to the empirical spectrum")
-            warned = True
-        acc.add(np.trace(a @ b) / n)
-    mean, err, n_used = acc.finalize()
+
+    def contributions():
+        warned = False
+        for _, x, _ in iter_samples(samples):
+            n = x.shape[0]
+            eye = np.eye(n)
+            a = np.linalg.solve(z1 * eye - x, eye)
+            b = np.linalg.solve(z2bar * eye - x.conj().T, eye)
+            limit = np.sqrt(n) / margin
+            if not warned and (np.linalg.norm(a, "fro") > limit
+                               or np.linalg.norm(b, "fro") > limit):
+                warnings.warn(
+                    "evaluation point close to the empirical spectrum")
+                warned = True
+            yield np.trace(a @ b) / n, 1
+
+    mean, err, _, n_used = _batch_means(contributions(), config.n_batches)
     return ScalarEstimate(complex(mean), float(err), n_used)
 
 
@@ -369,32 +342,27 @@ def _word_trace(x, word):
 
 def estimate_trace_covariance(samples, word1, word2,
                               config=EstimatorConfig()):
-    """Connected covariance of (1/N)Tr word1(X) and conj((1/N)Tr word2(X)).
+    """Connected covariance <t1 t2> - <t1><t2> of two word traces.
 
-    The second word enters conjugated so that e.g. ('X', 'X+') estimates
-    cov((1/N)Tr X, (1/N)Tr X+) = <t1 conj(conj(t2))>... explicitly:
-    cov = <t1 t2> - <t1><t2> with t2 the plain trace of word2.
+    ``t1 = (1/N) Tr word1(X)`` and ``t2 = (1/N) Tr word2(X)`` enter as
+    written, without conjugation; spell the adjoint in the word instead,
+    e.g. ('X', 'X+') estimates cov((1/N) Tr X, (1/N) Tr X+).  The samples
+    are split round-robin into ``min(n_batches, n // 2)`` batches of
+    m >= 2; each batch covariance divides by m - 1, so it is unbiased,
+    and the error bar is the batch-means standard error.
     """
-    t1s, t2s = [], []
-    for x in _iter_matrices(samples):
-        t1s.append(_word_trace(x, word1))
-        t2s.append(_word_trace(x, word2))
-    t1s = np.asarray(t1s)
-    t2s = np.asarray(t2s)
-    n = len(t1s)
+    traces = np.array([(_word_trace(x, word1), _word_trace(x, word2))
+                       for _, x, _ in iter_samples(samples)])
+    n = len(traces)
     if n < 4:
         raise ValueError("need at least 4 samples for a covariance estimate")
     n_b = min(config.n_batches, n // 2)
-    idx = np.arange(n) % n_b
     batch_cov = []
     for b in range(n_b):
-        m = idx == b
-        if m.sum() < 2:
-            continue
-        a, c = t1s[m], t2s[m]
-        batch_cov.append((a * c).mean() - a.mean() * c.mean())
-    batch_cov = np.array(batch_cov)
-    mean, err = _batch_stats(batch_cov)
+        t1, t2 = traces[b::n_b].T
+        batch_cov.append(np.sum((t1 - t1.mean()) * (t2 - t2.mean()))
+                         / (len(t1) - 1))
+    mean, err = _batch_stats(np.array(batch_cov))
     return ScalarEstimate(complex(mean), float(err), n)
 
 

@@ -1,6 +1,6 @@
 """Foundational numerics shared by all other modules.
 
-Contains numerical Wirtinger derivatives, a mergeable 2D-binned pair
+Contains numerical Wirtinger derivatives, a 2D-binned pair
 accumulator and the deterministic RNG stream contract used by the
 samplers.
 """
@@ -55,8 +55,7 @@ class PairHistogram:
     """2D-binned accumulator over coordinate pairs with complex weights.
 
     Bin edges are fixed at construction; per-bin complex weight sums and
-    pair counts are accumulated.  Two histograms with identical edges
-    merge associatively, which supports per-thread accumulation.
+    pair counts are accumulated.
     """
 
     def __init__(self, edges1, edges2):
@@ -84,17 +83,6 @@ class PairHistogram:
         self.weight += w_sum + 1j * w_imag
         self.count += cnt.astype(np.int64)
         self.n_matrices += n_matrices
-
-    def merge(self, other):
-        """Return a new histogram with the combined content of both."""
-        if (not np.array_equal(self.edges1, other.edges1)
-                or not np.array_equal(self.edges2, other.edges2)):
-            raise ValueError("cannot merge histograms with different edges")
-        out = PairHistogram(self.edges1, self.edges2)
-        out.weight = self.weight + other.weight
-        out.count = self.count + other.count
-        out.n_matrices = self.n_matrices + other.n_matrices
-        return out
 
     def bin_areas(self):
         d1 = np.diff(self.edges1)

@@ -6,6 +6,10 @@ matrix, so biorthogonality ``<L_i|R_j> = delta_ij`` and completeness
 consequence the row-sum identity ``sum_l O_kl = 1`` is exact per matrix
 and serves as the main numerical self-check.
 
+:class:`EigenSystems` is the Monte Carlo loop of the package: the
+estimators and ``overlap-lab sample`` pull their samples through it, so
+a near-defective draw is dropped and counted in one place.
+
 The CSV writers take per-sample column blocks (:class:`EigenBlock`,
 :class:`PairBlock`) and format them in one pass.  The layout of
 eigen.csv and pairs.csv is the one ``csv.writer`` gives for row tuples
@@ -24,6 +28,8 @@ __all__ = [
     "eig_biorthogonal",
     "overlap_matrix",
     "diagonal_overlaps",
+    "EigenSystems",
+    "iter_samples",
     "write_eigen_csv",
     "write_pairs_csv",
 ]
@@ -98,6 +104,46 @@ def diagonal_overlaps(es):
     ln = np.sum(np.abs(es.left) ** 2, axis=1)
     rn = np.sum(np.abs(es.right) ** 2, axis=0)
     return ln * rn
+
+
+def iter_samples(samples):
+    """Yield ``(index, matrix, info)`` for each item of ``samples``.
+
+    Items are bare matrices, indexed by position with empty ``info``,
+    or ``(index, matrix, info)`` triples as produced by
+    :func:`overlap_lab.ensembles.sample_many`.
+    """
+    for i, item in enumerate(samples):
+        yield item if isinstance(item, tuple) else (i, item, {})
+
+
+class EigenSystems:
+    """Decomposes samples one at a time: yields ``(index, es, overlaps)``.
+
+    Each sample is pulled only after the previous one's item has been
+    consumed.  The third item is the :func:`overlap_matrix` of ``es``
+    when the caller sets ``overlaps``, else ``None``.  Near-defective
+    draws are dropped and counted in ``n_dropped``, whether or not an
+    accepted sample follows them; ``rejections`` sums the samplers'
+    reported ``info["rejections"]``.
+    """
+
+    def __init__(self, samples, cond_limit=1e12, overlaps=False):
+        self.samples = samples
+        self.cond_limit = cond_limit
+        self.overlaps = overlaps
+        self.n_dropped = 0
+        self.rejections = 0
+
+    def __iter__(self):
+        for k, x, info in iter_samples(self.samples):
+            self.rejections += info.get("rejections", 0)
+            try:
+                es = eig_biorthogonal(x, cond_limit=self.cond_limit)
+            except NearDefectiveError:
+                self.n_dropped += 1
+                continue
+            yield k, es, overlap_matrix(es) if self.overlaps else None
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,12 +4,15 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
 from overlap_lab import cli
-from overlap_lab.cli import _apply_thread_cap, _complex_arg, main
+from overlap_lab.cli import _complex_arg, main
 from overlap_lab.ensembles import EnsembleSpec, sample_many
 from overlap_lab.numcore import RngStream
 
@@ -37,11 +40,38 @@ class TestArgs:
         with pytest.raises(Exception):
             _complex_arg("1,2,3")
 
-    def test_thread_cap(self, monkeypatch):
-        monkeypatch.setenv("OVERLAP_LAB_THREADS", "3")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        _apply_thread_cap()
-        assert os.environ["OMP_NUM_THREADS"] == "3"
+    def test_thread_cap(self):
+        # the effective OpenBLAS pool size after importing the CLI, read
+        # through ctypes from numpy's bundled OpenBLAS
+        probe = textwrap.dedent("""
+            import ctypes, glob, os
+            from overlap_lab import cli
+            import numpy as np
+            libs = glob.glob(os.path.join(os.path.dirname(np.__file__),
+                                          os.pardir, "numpy.libs",
+                                          "libscipy_openblas64_*.so"))
+            if not libs:
+                print("absent")
+            else:
+                lib = ctypes.CDLL(sorted(libs)[0])
+                get = lib.scipy_openblas_get_num_threads64_
+                get.argtypes = []
+                get.restype = ctypes.c_int
+                print(get())
+        """)
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                            "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        env["OVERLAP_LAB_THREADS"] = "1"
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        if out.stdout.strip() == "absent":
+            pytest.skip("numpy does not bundle scipy-openblas")
+        assert out.stdout.strip() == "1"
 
 
 class TestSample:
@@ -124,6 +154,44 @@ class TestSample:
         assert {r["sample_id"] for r in read_csv(out / "pairs.csv")} == \
             {"0", "2"}
 
+    def test_leading_and_trailing_draws_dropped(self, tmp_path, monkeypatch):
+        n = 10
+        draws = list(sample_many(EnsembleSpec("ginibre", n), 7, 2))
+        jordan = np.eye(n, k=1) + 0.5 * np.eye(n)
+
+        def with_jordan(spec, seed, n_samples):
+            yield 0, jordan, {}
+            yield from draws
+            yield 3, jordan, {}
+            yield 4, jordan, {}
+
+        monkeypatch.setattr(cli, "sample_many", with_jordan)
+        out = run_sample(tmp_path, n=n, samples=5)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["results"]["n_dropped"] == 3
+        assert {r["sample_id"] for r in read_csv(out / "eigen.csv")} == \
+            {"0", "1"}
+
+    def test_pulls_after_decomposition(self, tmp_path, monkeypatch):
+        # pair_rows is the last per-sample step of the sampling loop
+        events = []
+        draws = list(sample_many(EnsembleSpec("ginibre", 8), 7, 3))
+
+        def logged(spec, seed, n_samples):
+            for k, x, info in draws:
+                events.append(("pull", k))
+                yield k, x, info
+
+        def pair_rows(sample_id, *args, **kwargs):
+            events.append(("rows", sample_id))
+            return orig_pair_rows(sample_id, *args, **kwargs)
+
+        orig_pair_rows = cli.pair_rows
+        monkeypatch.setattr(cli, "sample_many", logged)
+        monkeypatch.setattr(cli, "pair_rows", pair_rows)
+        run_sample(tmp_path, n=8, samples=3)
+        assert events == [(e, k) for k in range(3) for e in ("pull", "rows")]
+
     def test_pair_thinning(self, tmp_path):
         dense = run_sample(tmp_path, name="dense")
         thin = run_sample(tmp_path, name="thin",
@@ -187,6 +255,32 @@ class TestEstimate:
         assert main(["estimate", "tracecov", "--in", str(out),
                      "--word1", "X", "--word2", "X+"]) == 0
         assert read_csv(out / "tracecov.csv")[0]["word1"] == "X"
+
+    def test_estimate_csv_bytes_pinned(self, tmp_path):
+        # digests of the estimate CSVs of one fixed run (ginibre, N=12,
+        # 6 samples, seed 7) on the reference platform
+        out = run_sample(tmp_path, samples=6)
+        commands = {
+            "rho": ["--rbins", "4", "--rmax", "1.2"],
+            "o1": ["--rbins", "4", "--rmax", "1.2"],
+            "o2": ["--dmin", "0.2", "--pair", "0.3,0.0,-0.3,0.1",
+                   "--pair", "0.2,0.4,0.1,-0.5", "--half-width", "0.4"],
+            "hprod": ["--z1", "2,0.5", "--z2", "1.5,-0.5"],
+        }
+        digest = {}
+        for what, extra in commands.items():
+            assert main(["estimate", what, "--in", str(out), *extra]) == 0
+            digest[what] = hashlib.sha256(
+                (out / f"{what}.csv").read_bytes()).hexdigest()
+        assert digest == {
+            "rho": "2fa735fa6fccefbabd43d9516cd116ef"
+                   "f6b68ba0b29c4e4973601b9333f456e5",
+            "o1": "a1cbf55da401e2d6f563a63716009e97"
+                  "dbd5a8438eedcdb93c90feadd309d4ac",
+            "o2": "755b23ab75f962199870e50151be6582"
+                  "0eaf2b53077b0939774ece5b0b7d50cc",
+            "hprod": "6ee6fd9e9c9eb96e96d2a5c83637694e"
+                     "52da6338e0d5456fb545f00b9cdd1cce"}
 
     def test_missing_run_dir_exit_code(self, tmp_path):
         assert main(["estimate", "rho", "--in", str(tmp_path / "nope")]) == 1

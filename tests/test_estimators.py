@@ -26,6 +26,20 @@ def haar_samples(n, n_samples, seed=0):
     return out
 
 
+# the eigenvalue-based estimators, each on bins that hold Ginibre spectra
+EIGEN_ESTIMATORS = {
+    "density": lambda s: estimators.estimate_density(
+        s, np.linspace(0.0, 1.2, 4)),
+    "density_real": lambda s: estimators.estimate_density_real(
+        s, np.linspace(-1.2, 1.2, 4)),
+    "o1": lambda s: estimators.estimate_o1(s, np.linspace(0.0, 1.2, 4)),
+    "o2_windows": lambda s: estimators.estimate_o2_windows(
+        s, [(0.3, -0.3)], 0.3),
+    "o2_real_pairs": lambda s: estimators.estimate_o2_real_pairs(
+        s, np.linspace(-1.2, 1.2, 4)),
+}
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -76,13 +90,6 @@ class TestO1:
             assert abs(est.estimate[i] - ref) < max(3.0 * est.stderr[i],
                                                     0.05 * ref)
 
-    def test_trailing_near_defective_draws_counted(self):
-        jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        samples = ginibre_samples(20, 4) + [jordan, jordan]
-        est = estimators.estimate_o1(samples, np.linspace(0.0, 1.2, 4))
-        assert est.n_samples == 4
-        assert est.n_dropped == 2
-
     def test_normal_matrices_give_flat_density_scale(self):
         # for unitary samples O_kk = 1, so the O1 estimate reduces to the
         # spectral density divided by N
@@ -93,6 +100,51 @@ class TestO1:
         rho = estimators.estimate_density(samples, edges)
         assert est.estimate[0] == pytest.approx(rho.estimate[0] / n,
                                                 rel=1e-10)
+
+
+class TestMonteCarloLoop:
+    @pytest.mark.parametrize("position", ["start", "middle", "end"])
+    @pytest.mark.parametrize("name", list(EIGEN_ESTIMATORS))
+    def test_near_defective_draws_counted(self, name, position):
+        jordan = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        good = ginibre_samples(20, 4)
+        samples = {"start": [jordan] + good,
+                   "middle": good[:2] + [jordan] + good[2:],
+                   "end": good + [jordan, jordan]}[position]
+        est = EIGEN_ESTIMATORS[name](samples)
+        assert est.n_samples == 4
+        assert est.n_dropped == len(samples) - 4
+
+    @pytest.mark.parametrize("name", list(EIGEN_ESTIMATORS))
+    def test_pulls_after_decomposition(self, name, monkeypatch):
+        events = []
+        eig = np.linalg.eig
+
+        def logged_eig(x):
+            events.append(("eig", int(x[0, 0].real)))
+            return eig(x)
+
+        def pulls(samples):
+            for k, x in enumerate(samples):
+                events.append(("pull", k))
+                x = x.copy()
+                x[0, 0] = k
+                yield x
+
+        samples = [x for _, x, _ in ginibre_samples(12, 3)]
+        monkeypatch.setattr(np.linalg, "eig", logged_eig)
+        EIGEN_ESTIMATORS[name](pulls(samples))
+        assert events == [(e, k) for k in range(3) for e in ("pull", "eig")]
+
+    @pytest.mark.parametrize("name", list(EIGEN_ESTIMATORS) + ["resolvent"])
+    def test_one_batch_raises(self, name):
+        samples = list(sample_many(
+            EnsembleSpec("pseudo_hermitian_product", 12), 0, 1))
+        run = EIGEN_ESTIMATORS.get(
+            name, lambda s: estimators.estimate_traced_resolvent_product(
+                s, 2.0, 2.0))
+        with pytest.raises(ValueError, match="2 non-empty batches"):
+            run(samples)
 
 
 class TestO2Windows:
@@ -171,6 +223,16 @@ class TestTraceCovariance:
             ginibre_samples(n, 600, seed=9), "X", "X+")
         # cov(Tr X, Tr X+) = 1 at matrix scale, so 1/n^2 in trace units
         assert est.value.real * n ** 2 == pytest.approx(1.0, abs=0.2)
+
+    def test_unbiased_batch_covariance(self):
+        # +-1 draws of variance 1: the four batches of two hold every
+        # ordered pair once, so the unbiased batch covariances average
+        # to exactly 1 (dividing by m instead of m - 1 gives 0.5)
+        values = [1, 1, -1, -1, 1, -1, 1, -1]
+        samples = [np.array([[v]], dtype=complex) for v in values]
+        est = estimators.estimate_trace_covariance(
+            samples, "X", "X", EstimatorConfig(n_batches=4))
+        assert est.value == 1.0
 
     def test_error_scaling(self):
         small = estimators.estimate_trace_covariance(

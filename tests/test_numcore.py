@@ -58,37 +58,6 @@ class TestPairHistogram:
         assert h.weight[3, 1] == -1j
         assert h.n_matrices == 1
 
-    def test_merge_associative_and_checked(self):
-        e1, e2 = self.edges()
-        a = PairHistogram(e1, e2)
-        b = PairHistogram(e1, e2)
-        a.accumulate([0.1], [0.0], [1.0])
-        b.accumulate([0.6], [0.0], [2.0j])
-        m = a.merge(b)
-        assert m.count.sum() == 2
-        assert m.n_matrices == 2
-        assert m.weight.sum() == 1.0 + 2.0j
-        with pytest.raises(ValueError):
-            a.merge(PairHistogram(e1 + 0.5, e2))
-
-    @given(st.lists(st.tuples(st.floats(0.01, 0.99), st.floats(-0.99, 0.99),
-                              st.floats(-3, 3)), min_size=1, max_size=30))
-    @settings(max_examples=30, deadline=None)
-    def test_split_accumulation_equals_bulk(self, triples):
-        e1, e2 = self.edges()
-        xs = [t[0] for t in triples]
-        ys = [t[1] for t in triples]
-        ws = [t[2] for t in triples]
-        bulk = PairHistogram(e1, e2)
-        bulk.accumulate(xs, ys, ws)
-        parts = PairHistogram(e1, e2)
-        for x, y, w in triples:
-            single = PairHistogram(e1, e2)
-            single.accumulate([x], [y], [w])
-            parts = parts.merge(single)
-        assert np.allclose(parts.weight, bulk.weight, atol=1e-9)
-        assert np.array_equal(parts.count, bulk.count)
-
     def test_bin_areas(self):
         h = PairHistogram(*self.edges())
         assert np.allclose(h.bin_areas(), 0.25 * 1.0)
