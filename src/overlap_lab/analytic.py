@@ -8,13 +8,13 @@ radial cumulative distribution function F(r).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
 from scipy.special import gammaln
 
-from .numcore import wirtinger_mixed_derivative
+from .numcore import STENCIL_H, wirtinger_mixed_derivative
 
 __all__ = [
     "RadialCdfSpec",
@@ -31,6 +31,8 @@ __all__ = [
     "rho_elliptic",
 ]
 
+EXACT_MAX_N = 300  # largest N that o2_exact_ginibre accepts
+
 
 @dataclass(frozen=True)
 class RadialCdfSpec:
@@ -38,14 +40,15 @@ class RadialCdfSpec:
 
     ``f(r)`` evaluates F, ``df(r)`` its derivative; the support is the
     annulus ``[r_in, r_out]`` (``r_out = inf`` for the unbounded
-    spherical ensemble, in which case F only approaches 1).
+    spherical ensemble, in which case F only approaches 1).  Specs
+    compare by name and support, which fix the parameter of each kind.
     """
 
     name: str
     r_in: float
     r_out: float
-    f: callable
-    df: callable
+    f: callable = field(compare=False)
+    df: callable = field(compare=False)
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -106,8 +109,12 @@ def o1_biunitary(fspec, r):
         if c > (1.0 + 1e-3) * fspec(100.0 * eps) / (100.0 * eps) ** 2:
             return math.inf
         return c / math.pi
-    fr = fspec(r)
-    return fr * (1.0 - fr) / (math.pi * r ** 2)
+    return _o1_at(fspec(r), r)
+
+
+def _o1_at(f, r):
+    """F(1 - F)/(pi r^2) at r > 0 from the value ``f = F(r)``."""
+    return f * (1.0 - f) / (math.pi * r ** 2)
 
 
 def _biunitary_bracket(fspec, z1, z2):
@@ -123,7 +130,7 @@ def _biunitary_bracket(fspec, z1, z2):
     return num / den
 
 
-def o2_biunitary(fspec, z1, z2, h=1e-3, eps_coincident=1e-9):
+def o2_biunitary(fspec, z1, z2):
     """Two-point eigenvector function of a biunitarily invariant ensemble.
 
     Generic evaluation: (1/pi) d/dzbar1 d/dz2 of the single-ring bracket,
@@ -134,9 +141,9 @@ def o2_biunitary(fspec, z1, z2, h=1e-3, eps_coincident=1e-9):
     """
     z1 = complex(z1)
     z2 = complex(z2)
-    if abs(z1 - z2) < eps_coincident:
+    if abs(z1 - z2) < 1e-9:
         raise ValueError("coincident arguments")
-    if abs(abs(z1) - abs(z2)) < 4.0 * h:
+    if abs(abs(z1) - abs(z2)) < 4.0 * STENCIL_H:
         # symmetric radial limit: nudge both radii apart by a fixed step
         step = 1e-5
         u1 = z1 * (1.0 + step)
@@ -144,12 +151,12 @@ def o2_biunitary(fspec, z1, z2, h=1e-3, eps_coincident=1e-9):
         v1 = z1 * (1.0 - step)
         v2 = z2 * (1.0 + step)
         a = wirtinger_mixed_derivative(
-            lambda w1, w2: _biunitary_bracket(fspec, w1, w2), u1, u2, h=h)
+            lambda w1, w2: _biunitary_bracket(fspec, w1, w2), u1, u2)
         b = wirtinger_mixed_derivative(
-            lambda w1, w2: _biunitary_bracket(fspec, w1, w2), v1, v2, h=h)
+            lambda w1, w2: _biunitary_bracket(fspec, w1, w2), v1, v2)
         return (a + b) / (2.0 * math.pi)
     d = wirtinger_mixed_derivative(
-        lambda w1, w2: _biunitary_bracket(fspec, w1, w2), z1, z2, h=h)
+        lambda w1, w2: _biunitary_bracket(fspec, w1, w2), z1, z2)
     return d / math.pi
 
 
@@ -257,7 +264,7 @@ def _exact_h_matrix(n, z1, z2):
     return h
 
 
-def o2_exact_ginibre(n, z1, z2, max_n=300, normalized=True):
+def o2_exact_ginibre(n, z1, z2, normalized=True):
     """Exact finite-N Ginibre two-point function.
 
     Evaluates -(N / (pi^2 Gamma(N))) e^{-N(|z1|^2+|z2|^2)} det[h_ij] with
@@ -273,8 +280,8 @@ def o2_exact_ginibre(n, z1, z2, max_n=300, normalized=True):
     n = int(n)
     if n < 2:
         raise ValueError("needs N >= 2")
-    if n > max_n:
-        raise ValueError(f"N={n} above configured limit {max_n}")
+    if n > EXACT_MAX_N:
+        raise ValueError(f"N={n} above configured limit {EXACT_MAX_N}")
     h = _exact_h_matrix(n, z1, z2)
     sign, logabs = np.linalg.slogdet(h)
     if sign == 0:
@@ -302,14 +309,18 @@ def o2_elliptic(sigma, tau, z1, z2):
     return -num / (math.pi ** 2 * s2 * omt * abs(z1 - z2) ** 4)
 
 
+def _elliptic_inside(sigma, tau, z):
+    """Whether z lies strictly inside the support of the elliptic law."""
+    x, y = z.real, z.imag
+    return (x ** 2 / (1.0 + tau) ** 2 + y ** 2 / (1.0 - tau) ** 2) < sigma ** 2
+
+
 def o1_elliptic(sigma, tau, z):
     """Large-N elliptic one-point function inside the ellipse, else 0."""
     z = complex(z)
-    x, y = z.real, z.imag
-    s2 = sigma ** 2
-    inside = (x ** 2 / (1.0 + tau) ** 2 + y ** 2 / (1.0 - tau) ** 2) < s2
-    if not inside:
+    if not _elliptic_inside(sigma, tau, z):
         return 0.0
+    s2 = sigma ** 2
     val = (1.0 / (math.pi * s2)) * (
         1.0 - abs(z - np.conj(z) * tau) ** 2 / (s2 * (1.0 - tau ** 2) ** 2))
     return max(val, 0.0)
@@ -317,8 +328,5 @@ def o1_elliptic(sigma, tau, z):
 
 def rho_elliptic(sigma, tau, z):
     """Uniform spectral density 1/(pi sigma^2 (1 - tau^2)) on the ellipse."""
-    z = complex(z)
-    x, y = z.real, z.imag
-    s2 = sigma ** 2
-    inside = (x ** 2 / (1.0 + tau) ** 2 + y ** 2 / (1.0 - tau) ** 2) < s2
-    return 1.0 / (math.pi * s2 * (1.0 - tau ** 2)) if inside else 0.0
+    inside = _elliptic_inside(sigma, tau, complex(z))
+    return 1.0 / (math.pi * sigma ** 2 * (1.0 - tau ** 2)) if inside else 0.0

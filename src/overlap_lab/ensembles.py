@@ -9,11 +9,12 @@ elliptic ensemble interpolates between these with pair covariances
 ``<X_ab X+_cd> = sigma^2 delta_ad delta_bc / N``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .numcore import RngStream
+from .overlaps import COND_LIMIT
 
 __all__ = ["EnsembleSpec", "sample", "KINDS"]
 
@@ -60,7 +61,6 @@ class EnsembleSpec:
     kappa: float = 1.0
     m: float = 1.0
     gamma: float = 1.0
-    cond_limit: float = field(default=1e12, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -146,7 +146,7 @@ def sample(spec, rng_stream):
         x1 = _ginibre(rng, n)
         x2 = _ginibre(rng, n)
         attempt = 0
-        while np.linalg.cond(x2) > spec.cond_limit:
+        while np.linalg.cond(x2) > COND_LIMIT:
             attempt += 1
             info["rejections"] += 1
             sub = rng_stream.substream(attempt).generator()

@@ -13,7 +13,7 @@ contributions over round-robin batches for batch-means error bars.
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +36,9 @@ __all__ = [
     "write_estimate_csv",
 ]
 
+REAL_TOL = 1e-8  # |Im lambda| <= REAL_TOL max(|lambda|, 1) counts as real
+RESOLVENT_MARGIN = 0.05  # eigenvalues this close to z1 or z2 draw a warning
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -48,7 +51,6 @@ class EstimatorConfig:
 
     delta_min: float = 0.0
     n_batches: int = 20
-    cond_limit: float = 1e12
 
     def __post_init__(self):
         if self.delta_min < 0:
@@ -136,7 +138,7 @@ def _eigen_batch_means(samples, config, contribution, overlaps=False):
 
     Returns ``(mean, stderr, count, n_used, n_dropped)``.
     """
-    systems = EigenSystems(samples, config.cond_limit, overlaps)
+    systems = EigenSystems(samples, overlaps)
     return (*_batch_means((contribution(es, o) for _, es, o in systems),
                           config.n_batches), systems.n_dropped)
 
@@ -174,8 +176,7 @@ def estimate_density(samples, radial_edges, config=EstimatorConfig()):
     return _radial(samples, radial_edges, config, o1=False)
 
 
-def estimate_density_real(samples, edges, config=EstimatorConfig(),
-                          imag_tol=1e-8):
+def estimate_density_real(samples, edges, config=EstimatorConfig()):
     """Density of real eigenvalues binned along the real axis.
 
     Intended for ensembles with (predominantly) real spectra; the
@@ -188,7 +189,7 @@ def estimate_density_real(samples, edges, config=EstimatorConfig(),
     def contribution(es, _):
         nonlocal n_total, n_complex
         lam = es.eigenvalues
-        real_mask = np.abs(lam.imag) <= imag_tol * np.maximum(np.abs(lam), 1.0)
+        real_mask = np.abs(lam.imag) <= REAL_TOL * np.maximum(np.abs(lam), 1.0)
         n_total += es.n
         n_complex += int(np.sum(~real_mask))
         count, _ = np.histogram(lam.real[real_mask], bins=edges)
@@ -265,14 +266,15 @@ def estimate_o2_real_pairs(samples, edges, config=EstimatorConfig()):
 
     For real-spectrum ensembles: accumulates O_kl into a 2D histogram of
     (Re lambda_k, Re lambda_l) and normalizes by the squared bin widths,
-    giving a grid of O_2(x, y) estimates.
+    giving a grid of O_2(x, y) estimates; ``config.delta_min`` applies.
     """
     edges = np.asarray(edges, dtype=float)
     areas = PairHistogram(edges, edges).bin_areas()
 
     def contribution(es, o):
-        _separated(es, o, config.delta_min)
-        k, l = np.nonzero(~np.eye(es.n, dtype=bool))
+        keep = _separated(es, o, config.delta_min)
+        np.fill_diagonal(keep, False)
+        k, l = np.nonzero(keep)
         x = es.eigenvalues.real
         hist = PairHistogram(edges, edges)
         hist.accumulate(x[k], x[l], o[k, l] / es.n)
@@ -291,11 +293,11 @@ def estimate_o2_real_pairs(samples, edges, config=EstimatorConfig()):
 
 
 def estimate_traced_resolvent_product(samples, z1, z2,
-                                      config=EstimatorConfig(), margin=0.05):
+                                      config=EstimatorConfig()):
     """MC mean of (1/N) Tr[(z1 - X)^{-1} (zbar2 - X+)^{-1}].
 
     Warns when a resolvent norm indicates an eigenvalue within
-    ``margin`` of an evaluation point.
+    ``RESOLVENT_MARGIN`` of an evaluation point.
     """
     z1 = complex(z1)
     z2bar = np.conj(complex(z2))
@@ -307,7 +309,7 @@ def estimate_traced_resolvent_product(samples, z1, z2,
             eye = np.eye(n)
             a = np.linalg.solve(z1 * eye - x, eye)
             b = np.linalg.solve(z2bar * eye - x.conj().T, eye)
-            limit = np.sqrt(n) / margin
+            limit = np.sqrt(n) / RESOLVENT_MARGIN
             if not warned and (np.linalg.norm(a, "fro") > limit
                                or np.linalg.norm(b, "fro") > limit):
                 warnings.warn(
@@ -366,9 +368,9 @@ def estimate_trace_covariance(samples, word1, word2,
     return ScalarEstimate(complex(mean), float(err), n)
 
 
-def sum_rule_residual(x, cond_limit=1e12):
+def sum_rule_residual(x):
     """max_k |sum_l O_kl - 1| for one matrix (completeness sum rule)."""
-    es = eig_biorthogonal(x, cond_limit=cond_limit)
+    es = eig_biorthogonal(x)
     o = overlap_matrix(es)
     return float(np.max(np.abs(o.sum(axis=1) - 1.0)))
 

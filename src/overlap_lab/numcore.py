@@ -15,6 +15,8 @@ __all__ = [
     "wirtinger_mixed_derivative",
 ]
 
+STENCIL_H = 1e-3  # step of the Wirtinger stencils in analytic and qsolver
+
 
 def _mixed_second(f, z1, z2, h):
     """Raw O(h^2) estimate of d/dzbar1 d/dz2 f on a 16-point stencil."""
@@ -33,20 +35,18 @@ def _mixed_second(f, z1, z2, h):
     return 0.25 * (dxx + dyy + 1j * (dyx - dxy))
 
 
-def wirtinger_mixed_derivative(f, z1, z2, h=1e-3, richardson=True):
+def wirtinger_mixed_derivative(f, z1, z2, h=STENCIL_H):
     """Mixed Wirtinger derivative d/dzbar1 d/dz2 of ``f(z1, z2)``.
 
     ``f`` must be evaluable on the central-difference stencil around
     ``(z1, z2)``; it may depend on ``conj(z1)``, ``conj(z2)`` (the
     derivative is taken in the four real coordinates).  The raw stencil
-    is O(h^2) accurate; with ``richardson`` the h and h/2 results are
-    combined to O(h^4).
+    is O(h^2) accurate; the h and h/2 results are Richardson-combined to
+    O(h^4).
     """
     z1 = complex(z1)
     z2 = complex(z2)
     coarse = _mixed_second(f, z1, z2, h)
-    if not richardson:
-        return coarse
     fine = _mixed_second(f, z1, z2, 0.5 * h)
     return (4.0 * fine - coarse) / 3.0
 

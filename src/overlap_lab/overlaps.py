@@ -34,6 +34,8 @@ __all__ = [
     "write_pairs_csv",
 ]
 
+COND_LIMIT = 1e12  # near-defective bound, also the spherical sampler's
+
 
 class NearDefectiveError(np.linalg.LinAlgError):
     """Eigenvector matrix too ill-conditioned for trustworthy overlaps."""
@@ -63,12 +65,12 @@ class EigenSystem:
         return float(np.max(np.abs(self.left @ self.right - np.eye(self.n))))
 
 
-def eig_biorthogonal(x, cond_limit=1e12, raise_near_defective=True):
+def eig_biorthogonal(x):
     """Eigendecompose a complex matrix into a biorthogonal system.
 
     Eigenvalues are sorted lexicographically by (Re, Im) for
     reproducibility.  A condition estimate of the right-eigenvector
-    matrix above ``cond_limit`` flags the sample as near-defective;
+    matrix above ``COND_LIMIT`` flags the sample as near-defective;
     callers typically drop such samples and count them.
     """
     x = np.asarray(x, dtype=complex)
@@ -77,7 +79,7 @@ def eig_biorthogonal(x, cond_limit=1e12, raise_near_defective=True):
     lam = lam[order]
     r = r[:, order]
     cond = float(np.linalg.cond(r))
-    if raise_near_defective and (not np.isfinite(cond) or cond > cond_limit):
+    if not np.isfinite(cond) or cond > COND_LIMIT:
         raise NearDefectiveError(
             f"eigenvector condition estimate {cond:.3g} above limit")
     left = np.linalg.inv(r)
@@ -128,9 +130,8 @@ class EigenSystems:
     reported ``info["rejections"]``.
     """
 
-    def __init__(self, samples, cond_limit=1e12, overlaps=False):
+    def __init__(self, samples, overlaps=False):
         self.samples = samples
-        self.cond_limit = cond_limit
         self.overlaps = overlaps
         self.n_dropped = 0
         self.rejections = 0
@@ -139,7 +140,7 @@ class EigenSystems:
         for k, x, info in iter_samples(self.samples):
             self.rejections += info.get("rejections", 0)
             try:
-                es = eig_biorthogonal(x, cond_limit=self.cond_limit)
+                es = eig_biorthogonal(x)
             except NearDefectiveError:
                 self.n_dropped += 1
                 continue

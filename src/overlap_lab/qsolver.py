@@ -16,12 +16,12 @@ interest sits at position ``[1, 1]``.
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import o1_biunitary, radial_cdf
-from .numcore import wirtinger_mixed_derivative
+from .analytic import _elliptic_inside, _o1_at, o1_biunitary, radial_cdf
+from .numcore import STENCIL_H, wirtinger_mixed_derivative
 
 __all__ = [
     "RTransformSpec",
@@ -41,62 +41,39 @@ __all__ = [
     "wheel_generating_function",
 ]
 
+# Fourier circles of wheel_word_covariance, eps -> 0 ladder and Im-part
+# tolerance of o2_real_spectrum, terms of quantum_scattering_rung_series.
+WHEEL_RADIUS, WHEEL_N_THETA = 1.8, 32
+EPS_LADDER = (1e-3, 5e-4, 2.5e-4)
+IMAG_TOL = 1e-8
+RUNG_SERIES_ORDER = 40
+
 
 @dataclass(frozen=True)
 class RTransformSpec:
     """Cumulant data of one ensemble, as needed by the two-point solver.
 
-    ``kind`` selects the closed-form route.  For the biunitary kinds the
-    alternating cumulants are encoded in the determining sequence on its
-    physical sheet ``a_of_r``, its slope ``a_slope = A'(0)`` at the
-    spectral edge, and the radial cdf of the spectrum.
+    ``kind`` selects the closed-form route.  A biunitary kind is defined
+    by the radial cdf ``fspec`` of its spectrum alone, from which its
+    determining sequence follows (see :func:`_s_t_functions`).
     """
 
     kind: str
     sigma: float = 1.0
     tau: float = 0.0
-    alpha: float = 0.0
-    kappa: float = 1.0
     m: float = 1.0
     gamma: float = 1.0
-    a_of_r: callable = None
-    a_slope: float = None
-    fspec: object = field(default=None, compare=False)
+    fspec: object = None
 
 
 def elliptic_rt(sigma=1.0, tau=0.0):
     return RTransformSpec("elliptic", sigma=sigma, tau=tau)
 
 
-def _determining_sequence_radial(kind, alpha, kappa):
-    """Determining sequence of a worked biunitary ensemble.
-
-    A(x) inverts the single-ring relations ``x A(x) = F(r) - 1`` with
-    ``x = -pi O_1(r)``.  Returns ``(a_of_r, a_slope)``: A on its physical
-    sheet A(x(r)), and A'(0).  ``x(r)`` is not injective for every
-    ensemble (for the induced case both spectral edges map to x = 0), so
-    the rung is parametrized by the radius rather than by x itself.  The
-    slope is None for the spherical ensemble, which has no exterior.
-    """
-    if kind == "ginibre":
-        return (lambda r: 1.0), 0.0
-    if kind == "product_ginibre":
-        return (lambda r: min(r, 1.0)), 1.0
-    if kind == "spherical":
-        return (lambda r: 1.0 + r ** 2), None
-    if kind == "induced_ginibre":
-        return (lambda r: r ** 2 / (r ** 2 - alpha)), -alpha * (1.0 + alpha)
-    if kind == "truncated_unitary":
-        return (lambda r: (1.0 - r ** 2) / kappa), -1.0 / (1.0 + kappa) ** 3
-    raise ValueError(f"no determining sequence for {kind!r}")
-
-
 def biunitary_rt(kind, alpha=0.0, kappa=1.0):
     """R-transform data of a biunitarily invariant ensemble."""
-    a_of_r, a_slope = _determining_sequence_radial(kind, alpha, kappa)
-    return RTransformSpec(
-        "biunitary_" + kind, alpha=alpha, kappa=kappa, a_of_r=a_of_r,
-        a_slope=a_slope, fspec=radial_cdf(kind, alpha=alpha, kappa=kappa))
+    return RTransformSpec("biunitary_" + kind,
+                          fspec=radial_cdf(kind, alpha=alpha, kappa=kappa))
 
 
 def pseudo_hermitian_rt():
@@ -126,11 +103,6 @@ def _sqrt_towards(value, reference):
     if (s * reference.conjugate()).real < 0:
         s = -s
     return s
-
-
-def _elliptic_inside(sigma, tau, z):
-    x, y = z.real, z.imag
-    return (x ** 2 / (1.0 + tau) ** 2 + y ** 2 / (1.0 - tau) ** 2) < sigma ** 2
 
 
 def _elliptic_g_holo(sigma, tau, z):
@@ -234,35 +206,45 @@ def o1_from_green(green):
     return float(val.real)
 
 
-def _num_derivative(func, x, h=1e-6):
-    return (func(x + h) - func(x - h)) / (2.0 * h)
+def _x_and_a(fspec, r):
+    """``x = -pi O_1(r)`` and ``A = r^2/F(r)`` from one evaluation of F.
+
+    A solves ``x A = F - 1`` (A(0) = 1/(pi O_1(0)), 0 if O_1 diverges).
+    Outside the bulk (x = 0) A is not needed, since T multiplies that
+    point's G_1b = 0, and 0 is returned.
+    """
+    if r == 0.0:
+        o1 = o1_biunitary(fspec, 0.0)
+        return -math.pi * o1, (1.0 / (math.pi * o1) if o1 else 0.0)
+    f = fspec(r)
+    x = -math.pi * _o1_at(f, r)
+    return x, (r ** 2 / f if x else 0.0)
 
 
 def _s_t_functions(rt, r1, r2):
     """Auxiliary rung functions S and T of the determining sequence.
 
-    S = (x1 A1 - x2 A2)/(x1 - x2) and T = (A1 - A2)/(x1 - x2) with
-    x = -pi O_1(r) and A on its physical sheet A(x(r)).  Equal radii are
-    handled by the limit along the radial parametrization.
+    S = (x1 A1 - x2 A2)/(x1 - x2) and T = (A1 - A2)/(x1 - x2), taken
+    along the radius (both induced_ginibre edges map to x = 0), with the
+    equal-radius limit.  Both points outside the support give A(0) =
+    r_out^2 and A'(0) = r_out^2 (2 r_out/F'(r_out) - r_out^2).
     """
-    def x_of_r(r):
-        return -math.pi * o1_biunitary(rt.fspec, r)
-
-    x1, x2 = x_of_r(r1), x_of_r(r2)
+    fspec = rt.fspec
+    x1, a1 = _x_and_a(fspec, r1)
+    x2, a2 = _x_and_a(fspec, r2)
     if max(abs(x1), abs(x2)) < 1e-12:
-        # both points outside the support: Taylor data of A at x = 0
-        if rt.a_slope is None:
+        r_out = fspec.r_out
+        if not math.isfinite(r_out):
             raise ValueError("no exterior for an unbounded spectrum")
-        return rt.fspec.r_out ** 2, rt.a_slope
-    clamp = lambda r: min(max(r, rt.fspec.r_in), rt.fspec.r_out)
-    a1, a2 = rt.a_of_r(clamp(r1)), rt.a_of_r(clamp(r2))
+        return r_out ** 2, r_out ** 2 * (2.0 * r_out / fspec.df(r_out)
+                                         - r_out ** 2)
     if abs(r1 - r2) < 1e-7:
         rm = 0.5 * (r1 + r2)
-        dxdr = _num_derivative(x_of_r, rm)
-        dadr = _num_derivative(rt.a_of_r, rm)
-        t = dadr / dxdr
-        s = rt.a_of_r(rm) + x_of_r(rm) * t
-        return s, t
+        xm, am = _x_and_a(fspec, rm)
+        xp, ap = _x_and_a(fspec, rm + 1e-6)
+        xn, an = _x_and_a(fspec, rm - 1e-6)
+        t = (ap - an) / (xp - xn)
+        return am + xm * t, t
     s = (x1 * a1 - x2 * a2) / (x1 - x2)
     t = (a1 - a2) / (x1 - x2)
     return s, t
@@ -310,7 +292,7 @@ def build_rung(rt, gq, gp):
     raise ValueError(f"no rung construction for kind {rt.kind!r}")
 
 
-def quantum_scattering_rung_series(rt, gq, gp, order=40):
+def quantum_scattering_rung_series(rt, gq, gp):
     """Order-limited cumulant series for the quantum scattering rung.
 
     Direct summation of the power series of the rung in the cumulants,
@@ -325,7 +307,7 @@ def quantum_scattering_rung_series(rt, gq, gp, order=40):
     right = np.zeros((2, 2), dtype=complex)
     term_l = g_small.copy()
     term_r = g_small.copy()
-    for _ in range(order):
+    for _ in range(RUNG_SERIES_ORDER):
         left += term_l
         right += term_r
         term_l = g_small @ mq @ term_l
@@ -362,18 +344,24 @@ def k_eigenvector_component(rt, z1, z2):
     return k[1, 1]
 
 
-def o2_from_k(rt, z1, z2, h=1e-3):
+def o2_from_k(rt, z1, z2):
     """Two-point eigenvector function via the Bethe-Salpeter pipeline.
 
     (1/pi^2) d/dzbar1 d/dz2 of K^{11}_{bb}, with the full
     green -> rung -> ladder pipeline re-solved at every stencil point.
+    A point within 4h of the origin where O_1 diverges (product_ginibre;
+    O_1 is finite at every r > 0) raises ValueError.
     """
     z1 = complex(z1)
     z2 = complex(z2)
     if abs(z1 - z2) < 1e-9:
         raise ValueError("coincident arguments")
+    if (rt.kind.startswith("biunitary_")
+            and min(abs(z1), abs(z2)) < 4.0 * STENCIL_H
+            and math.isinf(o1_biunitary(rt.fspec, 0.0))):
+        raise ValueError("point within 4h of the origin, where O_1 diverges")
     d = wirtinger_mixed_derivative(
-        lambda w1, w2: k_eigenvector_component(rt, w1, w2), z1, z2, h=h)
+        lambda w1, w2: k_eigenvector_component(rt, w1, w2), z1, z2)
     return d / math.pi ** 2
 
 
@@ -436,25 +424,24 @@ def _neville_to_zero(eps, vals):
     return tab[0]
 
 
-def o2_real_spectrum(rt, x, y, eps_ladder=(1e-3, 5e-4, 2.5e-4),
-                     imag_tol=1e-8):
+def o2_real_spectrum(rt, x, y):
     """Two-point eigenvector function on a real spectrum.
 
     Boundary-value combination of the holomorphic traced resolvent
     product, -(1/4pi^2)[h(+,+) - h(+,-) - h(-,+) + h(-,-)], extrapolated
-    to eps -> 0 over the given ladder.  The result must come out real.
+    to eps -> 0 over ``EPS_LADDER``.  The result must come out real.
     """
     x = float(x)
     y = float(y)
     vals = []
-    for eps in eps_ladder:
+    for eps in EPS_LADDER:
         hpp = h_holomorphic(rt, x + 1j * eps, y + 1j * eps)
         hpm = h_holomorphic(rt, x + 1j * eps, y - 1j * eps)
         hmp = h_holomorphic(rt, x - 1j * eps, y + 1j * eps)
         hmm = h_holomorphic(rt, x - 1j * eps, y - 1j * eps)
         vals.append(-(hpp - hpm - hmp + hmm) / (4.0 * math.pi ** 2))
-    out = _neville_to_zero(eps_ladder, vals)
-    if abs(out.imag) > imag_tol * max(1.0, abs(out.real)):
+    out = _neville_to_zero(EPS_LADDER, vals)
+    if abs(out.imag) > IMAG_TOL * max(1.0, abs(out.real)):
         raise ArithmeticError(
             f"non-real boundary-value combination: {out!r}")
     return float(out.real)
@@ -482,7 +469,7 @@ def wheel_from_points(rt, z1, z2):
     return wheel_generating_function(g1.g, g2.g, b)
 
 
-def wheel_word_covariance(rt, p, q, radius=1.8, n_theta=32):
+def wheel_word_covariance(rt, p, q):
     """Large-N covariance of Tr X^p and Tr (X+)^q from the wheel function.
 
     The wheel function expands as
@@ -491,14 +478,14 @@ def wheel_word_covariance(rt, p, q, radius=1.8, n_theta=32):
     Fourier transform over the circles ``z1 = R e^{i theta}``,
     ``zbar2 = R e^{i phi}``.
     """
-    thetas = 2.0 * math.pi * np.arange(n_theta) / n_theta
-    vals = np.empty((n_theta, n_theta), dtype=complex)
+    thetas = 2.0 * math.pi * np.arange(WHEEL_N_THETA) / WHEEL_N_THETA
+    vals = np.empty((WHEEL_N_THETA, WHEEL_N_THETA), dtype=complex)
     for i, th in enumerate(thetas):
-        z1 = radius * np.exp(1j * th)
+        z1 = WHEEL_RADIUS * np.exp(1j * th)
         for j, ph in enumerate(thetas):
-            z2 = radius * np.exp(-1j * ph)   # zbar2 = R e^{i phi}
+            z2 = WHEEL_RADIUS * np.exp(-1j * ph)   # zbar2 = R e^{i phi}
             vals[i, j] = wheel_from_points(rt, z1, z2)
     # coefficient of e^{-i p theta} e^{-i q phi}
     phase = np.exp(1j * (p * thetas[:, None] + q * thetas[None, :]))
-    coeff = np.sum(vals * phase) / n_theta ** 2
-    return coeff * p * q * radius ** (p + q)
+    coeff = np.sum(vals * phase) / WHEEL_N_THETA ** 2
+    return coeff * p * q * WHEEL_RADIUS ** (p + q)

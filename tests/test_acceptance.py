@@ -306,7 +306,7 @@ def test_criterion_11_quantum_scattering_rung():
         gp = np.array([[vals[8] + 1j * vals[9], vals[10] + 1j * vals[11]],
                        [vals[12] + 1j * vals[13], vals[14] + 1j * vals[15]]])
         closed = qsolver.build_rung(rt, gq, gp)
-        series = qsolver.quantum_scattering_rung_series(rt, gq, gp, order=40)
+        series = qsolver.quantum_scattering_rung_series(rt, gq, gp)
         worst = max(worst, float(np.max(np.abs(closed - series))))
     criterion(11, "quantum scattering rung: closed form vs order-40 series",
               worst < 1e-8, f"max abs dev {worst:.2e}")

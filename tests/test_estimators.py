@@ -187,6 +187,18 @@ class TestO2RealPairs:
         err = est.grid_stderr[i, j] + est.grid_stderr[j, i]
         assert diff < 4.0 * err + 1e-12
 
+    def test_delta_min_drops_counts(self):
+        samples = list(sample_many(
+            EnsembleSpec("pseudo_hermitian_product", 20), 3, 6))
+        edges = np.linspace(0.0, 12.0, 7)
+        every = estimators.estimate_o2_real_pairs(
+            samples, edges, EstimatorConfig(delta_min=0.0, n_batches=3))
+        none = estimators.estimate_o2_real_pairs(
+            samples, edges, EstimatorConfig(delta_min=100.0, n_batches=3))
+        assert every.count.sum() > 0
+        assert none.count.sum() == 0
+        assert np.all(none.estimate == 0)
+
 
 class TestTracedResolventProduct:
     def test_zero_matrix_exact(self):

@@ -53,11 +53,6 @@ class TestEigBiorthogonal:
         with pytest.raises(NearDefectiveError):
             eig_biorthogonal(j)
 
-    def test_near_defective_opt_out(self):
-        j = np.eye(6, k=1) + 0.5 * np.eye(6)
-        es = eig_biorthogonal(j, raise_near_defective=False)
-        assert isinstance(es, EigenSystem)
-
 
 class TestOverlapMatrix:
     def test_row_sum_identity(self):

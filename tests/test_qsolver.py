@@ -153,11 +153,75 @@ class TestPipeline:
         _, pole = qsolver.solve_bethe_salpeter(g1.g, g2.g, b)
         assert pole
 
+    def test_hole_point_vanishes(self):
+        # z1 lies in the induced_ginibre hole (|z1| < sqrt(alpha)), z2 in
+        # the bulk: the hole point enters only through A(|z2|)
+        rt = qsolver.biunitary_rt("induced_ginibre", alpha=0.5)
+        assert qsolver.o2_from_k(rt, 0.3 + 0.2j, 0.9 - 0.3j) == 0
+
+    @pytest.mark.parametrize("z2", [0.0009, 0.001])
+    def test_divergent_origin_rejected(self, z2):
+        # O1 of product_ginibre diverges at the origin; a stencil reaching
+        # it gave -147.9 at z2 = 9e-4 (closed form -228.4) and an SVD
+        # failure at 1e-3.  LinAlgError is a ValueError: match the message.
+        rt = qsolver.biunitary_rt("product_ginibre")
+        with pytest.raises(ValueError, match="where O_1 diverges"):
+            qsolver.o2_from_k(rt, 0.5, z2)
+
     def test_rung_needs_green_results_for_biunitary(self):
         rt = qsolver.biunitary_rt("ginibre")
         q = np.diag([0.5, 0.5]).astype(complex)
         with pytest.raises(ValueError):
             qsolver.build_rung(rt, q, q)
+
+
+# The determining sequences A(r) of the five single-ring kinds in closed
+# form, with their slopes A'(0) at the exterior: the reference for the
+# values that qsolver derives from the radial cdf.
+ALPHA, KAPPA = 0.5, 1.0
+CLOSED_FORM_A = {
+    "ginibre": (lambda r: 1.0, 0.0),
+    "product_ginibre": (lambda r: min(r, 1.0), 1.0),
+    "spherical": (lambda r: 1.0 + r ** 2, None),
+    "induced_ginibre": (lambda r: r ** 2 / (r ** 2 - ALPHA),
+                        -ALPHA * (1.0 + ALPHA)),
+    "truncated_unitary": (lambda r: (1.0 - r ** 2) / KAPPA,
+                          -1.0 / (1.0 + KAPPA) ** 3),
+}
+
+
+class TestSingleRingData:
+    @pytest.mark.parametrize("kind", sorted(CLOSED_FORM_A))
+    def test_a_matches_closed_form(self, kind):
+        rt = qsolver.biunitary_rt(kind, alpha=ALPHA, kappa=KAPPA)
+        fs = rt.fspec
+        top = min(fs.r_out, 3.0)
+        a_of_r = CLOSED_FORM_A[kind][0]
+        for r in fs.r_in + (top - fs.r_in) * np.linspace(0.02, 0.98, 25):
+            _, a = qsolver._x_and_a(fs, r)
+            assert a == pytest.approx(a_of_r(r), rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "kind", sorted(set(CLOSED_FORM_A) - {"spherical"}))
+    def test_exterior_slope(self, kind):
+        rt = qsolver.biunitary_rt(kind, alpha=ALPHA, kappa=KAPPA)
+        r_out = rt.fspec.r_out
+        s, t = qsolver._s_t_functions(rt, 1.5 * r_out, 2.0 * r_out)
+        assert s == pytest.approx(r_out ** 2, rel=1e-14)
+        assert t == pytest.approx(CLOSED_FORM_A[kind][1], rel=1e-14, abs=1e-15)
+
+    def test_spec_identity(self):
+        # without per-kind fields, the radial cdf carries the parameter
+        a = qsolver.biunitary_rt("induced_ginibre", alpha=0.5)
+        assert a == qsolver.biunitary_rt("induced_ginibre", alpha=0.5)
+        assert a != qsolver.biunitary_rt("induced_ginibre", alpha=1.0)
+        assert (qsolver.biunitary_rt("truncated_unitary", kappa=1.0)
+                != qsolver.biunitary_rt("truncated_unitary", kappa=2.0))
+
+    def test_spherical_has_no_slope(self):
+        rt = qsolver.biunitary_rt("spherical")
+        with pytest.raises(ValueError, match="no exterior"):
+            qsolver._s_t_functions(rt, 1e4, 2e4)
 
 
 class TestQuantumScatteringRung:
@@ -171,8 +235,7 @@ class TestQuantumScatteringRung:
             gp = np.array([[vals[5], vals[6] + 1j * vals[7]],
                            [vals[1], vals[0]]], dtype=complex)
             closed = qsolver.build_rung(rt, gq, gp)
-            series = qsolver.quantum_scattering_rung_series(rt, gq, gp,
-                                                            order=40)
+            series = qsolver.quantum_scattering_rung_series(rt, gq, gp)
             assert np.max(np.abs(closed - series)) < 1e-8
 
 
