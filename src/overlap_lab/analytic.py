@@ -28,7 +28,6 @@ __all__ = [
     "o2_exact_ginibre",
     "o2_elliptic",
     "o1_elliptic",
-    "rho_elliptic",
 ]
 
 EXACT_MAX_N = 300  # largest N that o2_exact_ginibre accepts
@@ -324,9 +323,3 @@ def o1_elliptic(sigma, tau, z):
     val = (1.0 / (math.pi * s2)) * (
         1.0 - abs(z - np.conj(z) * tau) ** 2 / (s2 * (1.0 - tau ** 2) ** 2))
     return max(val, 0.0)
-
-
-def rho_elliptic(sigma, tau, z):
-    """Uniform spectral density 1/(pi sigma^2 (1 - tau^2)) on the ellipse."""
-    inside = _elliptic_inside(sigma, tau, complex(z))
-    return 1.0 / (math.pi * sigma ** 2 * (1.0 - tau ** 2)) if inside else 0.0

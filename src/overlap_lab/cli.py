@@ -131,29 +131,47 @@ def _load_manifest(in_dir):
     return RunManifest.load(os.path.join(in_dir, "manifest.json"))
 
 
-def _write_table(out, estimate, names, tag):
-    estimators.write_estimate_csv(out, estimate, names, header_comment=tag)
+def _write_table(out, tag, names, rows):
+    """Write an estimate table: the tag line, then ``names`` and the
+    estimate columns, then one row per estimate.  :func:`cmd_compare`
+    reads this layout back.
+    """
+    with open(out, "w", newline="") as fh:
+        fh.write(f"# {tag}\n")
+        writer = csv.writer(fh)
+        writer.writerow([*names, "estimate_re", "estimate_im", "stderr",
+                         "count"])
+        writer.writerows(rows)
     print(f"wrote {out}")
+
+
+def _binned_rows(est):
+    """Rows (center..., re, im, stderr, count) of a BinnedEstimate."""
+    return [(*center, value.real, value.imag, err, int(count))
+            for center, value, err, count in zip(
+                est.centers, np.ravel(est.estimate), np.ravel(est.stderr),
+                np.ravel(est.count))]
+
+
+def _scalar_rows(center, est):
+    """The one row (center..., re, im, stderr, count) of a ScalarEstimate."""
+    return [(*center, est.value.real, est.value.imag, est.stderr,
+             est.n_samples)]
 
 
 def cmd_estimate(args):
     manifest = _load_manifest(args.indir)
-    tag = f"manifest {manifest.params_hash()}"
     n = manifest.params["n"]
     config = estimators.EstimatorConfig(
         delta_min=(5.0 / np.sqrt(n)) if args.dmin == "auto"
         else float(args.dmin))
-    out = args.out or os.path.join(args.indir, f"{args.what}.csv")
-    if args.what == "rho":
-        est = estimators.estimate_density(
-            _manifest_samples(manifest),
-            np.linspace(0.0, args.rmax, args.rbins + 1), config)
-        _write_table(out, est, ["r"], tag)
-    elif args.what == "o1":
-        est = estimators.estimate_o1(
-            _manifest_samples(manifest),
-            np.linspace(0.0, args.rmax, args.rbins + 1), config)
-        _write_table(out, est, ["r"], tag)
+    samples = _manifest_samples(manifest)
+    if args.what in ("rho", "o1"):
+        estimate = (estimators.estimate_density if args.what == "rho"
+                    else estimators.estimate_o1)
+        names = ["r"]
+        rows = _binned_rows(estimate(
+            samples, np.linspace(0.0, args.rmax, args.rbins + 1), config))
     elif args.what == "o2":
         if not args.pair:
             raise SystemExit(
@@ -164,32 +182,23 @@ def cmd_estimate(args):
             if len(a) != 4:
                 raise SystemExit("--pair expects re1,im1,re2,im2")
             windows.append((complex(a[0], a[1]), complex(a[2], a[3])))
-        est = estimators.estimate_o2_windows(
-            _manifest_samples(manifest), windows, args.half_width, config)
-        _write_table(out, est, ["re_z", "im_z", "re_w", "im_w"], tag)
+        names = ["re_z", "im_z", "re_w", "im_w"]
+        rows = _binned_rows(estimators.estimate_o2_windows(
+            samples, windows, args.half_width, config))
     elif args.what == "hprod":
-        sc = estimators.estimate_traced_resolvent_product(
-            _manifest_samples(manifest), args.z1, args.z2, config)
-        with open(out, "w", newline="") as fh:
-            fh.write(f"# {tag}\n")
-            w = csv.writer(fh)
-            w.writerow(["re_z1", "im_z1", "re_z2", "im_z2",
-                        "estimate_re", "estimate_im", "stderr", "count"])
-            w.writerow([args.z1.real, args.z1.imag, args.z2.real,
-                        args.z2.imag, sc.value.real, sc.value.imag,
-                        sc.stderr, sc.n_samples])
-        print(f"wrote {out}")
-    elif args.what == "tracecov":
-        sc = estimators.estimate_trace_covariance(
-            _manifest_samples(manifest), args.word1, args.word2, config)
-        with open(out, "w", newline="") as fh:
-            fh.write(f"# {tag}\n")
-            w = csv.writer(fh)
-            w.writerow(["word1", "word2", "estimate_re", "estimate_im",
-                        "stderr", "count"])
-            w.writerow([args.word1, args.word2, sc.value.real, sc.value.imag,
-                        sc.stderr, sc.n_samples])
-        print(f"wrote {out}")
+        names = ["re_z1", "im_z1", "re_z2", "im_z2"]
+        rows = _scalar_rows(
+            (args.z1.real, args.z1.imag, args.z2.real, args.z2.imag),
+            estimators.estimate_traced_resolvent_product(
+                samples, args.z1, args.z2, config))
+    else:
+        names = ["word1", "word2"]
+        rows = _scalar_rows(
+            (args.word1, args.word2),
+            estimators.estimate_trace_covariance(
+                samples, args.word1, args.word2, config))
+    _write_table(args.out or os.path.join(args.indir, f"{args.what}.csv"),
+                 f"manifest {manifest.params_hash()}", names, rows)
     return 0
 
 
@@ -197,12 +206,9 @@ def _rt_from_args(args):
     kind = args.model
     if kind == "elliptic":
         return qsolver.elliptic_rt(args.sigma, args.tau)
-    if kind in ("ginibre", "product_ginibre", "spherical"):
-        return qsolver.biunitary_rt(kind)
-    if kind == "induced_ginibre":
-        return qsolver.biunitary_rt(kind, alpha=args.alpha)
-    if kind == "truncated_unitary":
-        return qsolver.biunitary_rt(kind, kappa=args.kappa)
+    if kind in ("ginibre", "induced_ginibre", "truncated_unitary",
+                "spherical", "product_ginibre"):
+        return qsolver.biunitary_rt(kind, alpha=args.alpha, kappa=args.kappa)
     if kind == "pseudo_hermitian_product":
         return qsolver.pseudo_hermitian_rt()
     if kind == "quantum_scattering":

@@ -11,7 +11,6 @@ count)`` contribution, and one batching routine averages the
 contributions over round-robin batches for batch-means error bars.
 """
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -33,7 +32,6 @@ __all__ = [
     "estimate_traced_resolvent_product",
     "estimate_trace_covariance",
     "sum_rule_residual",
-    "write_estimate_csv",
 ]
 
 REAL_TOL = 1e-8  # |Im lambda| <= REAL_TOL max(|lambda|, 1) counts as real
@@ -69,17 +67,6 @@ class BinnedEstimate:
     count: np.ndarray
     n_samples: int
     n_dropped: int = 0
-
-    def rows(self):
-        """Rows (center..., re, im, stderr, count) for CSV output."""
-        est = np.asarray(self.estimate).ravel()
-        err = np.asarray(self.stderr).ravel()
-        cnt = np.asarray(self.count).ravel()
-        out = []
-        for i in range(est.size):
-            c = np.asarray(self.centers[i], dtype=float).ravel()
-            out.append((*c, est[i].real, est[i].imag, err[i], int(cnt[i])))
-        return out
 
 
 @dataclass
@@ -217,12 +204,12 @@ def estimate_o1(samples, radial_edges, config=EstimatorConfig()):
 def _separated(es, o, delta_min):
     """Zero the diagonal of ``o`` and its pairs closer than ``delta_min``.
 
-    Works in place and returns the mask of pairs at least ``delta_min``
-    apart.
+    Works in place and returns the mask of the pairs ``k != l`` at least
+    ``delta_min`` apart.
     """
     lam = es.eigenvalues
     keep = np.abs(lam[:, None] - lam[None, :]) >= delta_min
-    np.fill_diagonal(o, 0.0)
+    np.fill_diagonal(keep, False)
     o[~keep] = 0.0
     return keep
 
@@ -273,7 +260,6 @@ def estimate_o2_real_pairs(samples, edges, config=EstimatorConfig()):
 
     def contribution(es, o):
         keep = _separated(es, o, config.delta_min)
-        np.fill_diagonal(keep, False)
         k, l = np.nonzero(keep)
         x = es.eigenvalues.real
         hist = PairHistogram(edges, edges)
@@ -373,15 +359,3 @@ def sum_rule_residual(x):
     es = eig_biorthogonal(x)
     o = overlap_matrix(es)
     return float(np.max(np.abs(o.sum(axis=1) - 1.0)))
-
-
-def write_estimate_csv(path, estimate, center_names, header_comment=None):
-    """Write a BinnedEstimate: center columns, re, im, stderr, count."""
-    with open(path, "w", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(list(center_names)
-                        + ["estimate_re", "estimate_im", "stderr", "count"])
-        for row in estimate.rows():
-            writer.writerow(row)

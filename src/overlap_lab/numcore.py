@@ -68,9 +68,8 @@ class PairHistogram:
         shape = (len(self.edges1) - 1, len(self.edges2) - 1)
         self.weight = np.zeros(shape, dtype=complex)
         self.count = np.zeros(shape, dtype=np.int64)
-        self.n_matrices = 0
 
-    def accumulate(self, x, y, weights, n_matrices=1):
+    def accumulate(self, x, y, weights):
         """Add pairs with coordinates ``(x, y)`` and complex weights."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -82,7 +81,6 @@ class PairHistogram:
         cnt, _, _ = np.histogram2d(x, y, bins=(self.edges1, self.edges2))
         self.weight += w_sum + 1j * w_imag
         self.count += cnt.astype(np.int64)
-        self.n_matrices += n_matrices
 
     def bin_areas(self):
         d1 = np.diff(self.edges1)

@@ -61,9 +61,6 @@ class EigenSystem:
     def n(self):
         return len(self.eigenvalues)
 
-    def biorthogonality_residual(self):
-        return float(np.max(np.abs(self.left @ self.right - np.eye(self.n))))
-
 
 def eig_biorthogonal(x):
     """Eigendecompose a complex matrix into a biorthogonal system.
@@ -220,14 +217,12 @@ def write_pairs_csv(path, rows, header_comment=None):
                                         block.o_kl.imag.tolist()))
 
 
-def eigen_rows(sample_id, es, overlaps_diag=None):
+def eigen_rows(sample_id, es, overlaps_diag):
     """The :func:`write_eigen_csv` block of one eigensystem."""
-    if overlaps_diag is None:
-        overlaps_diag = diagonal_overlaps(es)
     return EigenBlock(sample_id, es.eigenvalues, np.real(overlaps_diag))
 
 
-def pair_rows(sample_id, es, o=None, min_separation=0.0, subsample=None,
+def pair_rows(sample_id, es, o, min_separation=0.0, subsample=None,
               rng=None):
     """The :func:`write_pairs_csv` block of one eigensystem, optionally thinned.
 
@@ -236,8 +231,6 @@ def pair_rows(sample_id, es, o=None, min_separation=0.0, subsample=None,
     keeps each remaining pair with the given probability (requires
     ``rng``), drawing one uniform per candidate pair in that order.
     """
-    if o is None:
-        o = overlap_matrix(es)
     lam = es.eigenvalues
     k, l = np.nonzero(~np.eye(es.n, dtype=bool))
     # the masks negate the drop conditions, so a NaN is kept, not dropped

@@ -171,6 +171,9 @@ def solve_green(rt, z):
 
     Returns a :class:`GreenResult` whose branch tag reports whether z
     fell in the holomorphic (outside) or nonholomorphic (inside) regime.
+    The origin of a single ring without a hole takes the bulk limit
+    G_11 = 0, G_1b = i sqrt(pi O_1(0)); where O_1(0) diverges
+    (product_ginibre) it raises ValueError.
     """
     z = complex(z)
     if rt.kind == "elliptic" and _elliptic_inside(rt.sigma, rt.tau, z):
@@ -184,9 +187,12 @@ def solve_green(rt, z):
     if rt.kind.startswith("biunitary_"):
         fspec = rt.fspec
         r = abs(z)
-        if fspec.r_in < r < fspec.r_out:
-            off = 1j * math.sqrt(max(math.pi * o1_biunitary(fspec, r), 0.0))
-            return GreenResult(_quaternion(fspec(r) / z, off),
+        if fspec.r_in < r < fspec.r_out or r == fspec.r_in == 0.0:
+            o1 = o1_biunitary(fspec, r)
+            if math.isinf(o1):
+                raise ValueError("O_1 diverges at the origin")
+            off = 1j * math.sqrt(max(math.pi * o1, 0.0))
+            return GreenResult(_quaternion(fspec(r) / z if r else 0j, off),
                                "nonholomorphic", z)
         if r <= fspec.r_in:
             g = 0.0 + 0.0j if r == 0 else fspec(r) / z  # zero inside the hole
@@ -479,12 +485,12 @@ def wheel_word_covariance(rt, p, q):
     ``zbar2 = R e^{i phi}``.
     """
     thetas = 2.0 * math.pi * np.arange(WHEEL_N_THETA) / WHEEL_N_THETA
-    vals = np.empty((WHEEL_N_THETA, WHEEL_N_THETA), dtype=complex)
-    for i, th in enumerate(thetas):
-        z1 = WHEEL_RADIUS * np.exp(1j * th)
-        for j, ph in enumerate(thetas):
-            z2 = WHEEL_RADIUS * np.exp(-1j * ph)   # zbar2 = R e^{i phi}
-            vals[i, j] = wheel_from_points(rt, z1, z2)
+    g1s = [solve_green(rt, WHEEL_RADIUS * np.exp(1j * th)) for th in thetas]
+    # zbar2 = R e^{i phi}
+    g2s = [solve_green(rt, WHEEL_RADIUS * np.exp(-1j * ph)) for ph in thetas]
+    vals = np.array([[wheel_generating_function(a.g, b.g,
+                                                build_rung(rt, a, b))
+                      for b in g2s] for a in g1s])
     # coefficient of e^{-i p theta} e^{-i q phi}
     phase = np.exp(1j * (p * thetas[:, None] + q * thetas[None, :]))
     coeff = np.sum(vals * phase) / WHEEL_N_THETA ** 2

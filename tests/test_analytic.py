@@ -255,13 +255,6 @@ class TestElliptic:
         sigma, tau = 1.0, 0.5
         assert analytic.o1_elliptic(sigma, tau, 1.6) == 0.0
         assert analytic.o1_elliptic(sigma, tau, 1.4) > 0.0
-        assert analytic.rho_elliptic(sigma, tau, 1.6) == 0.0
-
-    def test_density_normalization(self):
-        sigma, tau = 1.2, 0.5
-        area = math.pi * sigma ** 2 * (1 + tau) * (1 - tau)
-        val = analytic.rho_elliptic(sigma, tau, 0.0)
-        assert area * val == pytest.approx(1.0)
 
     def test_coincident_rejected(self):
         with pytest.raises(ValueError):

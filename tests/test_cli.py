@@ -266,6 +266,7 @@ class TestEstimate:
             "o2": ["--dmin", "0.2", "--pair", "0.3,0.0,-0.3,0.1",
                    "--pair", "0.2,0.4,0.1,-0.5", "--half-width", "0.4"],
             "hprod": ["--z1", "2,0.5", "--z2", "1.5,-0.5"],
+            "tracecov": [],
         }
         digest = {}
         for what, extra in commands.items():
@@ -280,7 +281,9 @@ class TestEstimate:
             "o2": "755b23ab75f962199870e50151be6582"
                   "0eaf2b53077b0939774ece5b0b7d50cc",
             "hprod": "6ee6fd9e9c9eb96e96d2a5c83637694e"
-                     "52da6338e0d5456fb545f00b9cdd1cce"}
+                     "52da6338e0d5456fb545f00b9cdd1cce",
+            "tracecov": "5c60abc108bf809e55831baea884576a"
+                        "60326919182d33560846cb8f4e4b43f9"}
 
     def test_missing_run_dir_exit_code(self, tmp_path):
         assert main(["estimate", "rho", "--in", str(tmp_path / "nope")]) == 1

@@ -171,6 +171,18 @@ class TestO2Windows:
             samples, [(0.3, 0.35)], 0.25, EstimatorConfig(delta_min=0.5))
         assert tight.count[0] < wide.count[0]
 
+    def test_coincident_windows_count_off_diagonal_pairs(self):
+        # with both windows on one square and delta_min = 0, the count is
+        # the number of ordered pairs k != l in it (4), not 9 with the
+        # five diagonal entries k = l
+        samples = list(sample_many(EnsembleSpec("ginibre", 20), 3, 6))
+        est = estimators.estimate_o2_windows(
+            samples, [(0.3, 0.3)], 0.25, EstimatorConfig(n_batches=3))
+        inside = [np.count_nonzero((np.abs(lam.real - 0.3) < 0.25)
+                                   & (np.abs(lam.imag) < 0.25))
+                  for lam in (np.linalg.eigvals(x) for _, x, _ in samples)]
+        assert est.count[0] == sum(m * (m - 1) for m in inside) == 4
+
 
 class TestO2RealPairs:
     def test_grid_shape_and_symmetry(self):
@@ -253,18 +265,3 @@ class TestTraceCovariance:
             ginibre_samples(30, 800, seed=11), "X", "X+")
         ratio = small.stderr / large.stderr
         assert 1.2 < ratio < 3.5
-
-
-class TestCsv:
-    def test_round_trip(self, tmp_path):
-        edges = np.linspace(0.0, 1.0, 5)
-        est = estimators.estimate_density(ginibre_samples(30, 20), edges)
-        path = tmp_path / "rho.csv"
-        estimators.write_estimate_csv(path, est, ["r"],
-                                      header_comment="tag 123")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# tag 123"
-        assert lines[1] == "r,estimate_re,estimate_im,stderr,count"
-        assert len(lines) == 2 + 4
-        first = lines[2].split(",")
-        assert float(first[1]) == pytest.approx(est.estimate[0].real)

@@ -56,7 +56,6 @@ class TestPairHistogram:
         assert h.weight[0, 0] == 1.0 + 1j
         assert h.weight[0, 1] == 2.0
         assert h.weight[3, 1] == -1j
-        assert h.n_matrices == 1
 
     def test_bin_areas(self):
         h = PairHistogram(*self.edges())

@@ -21,7 +21,7 @@ def ginibre(n, seed=0, stream=0):
 class TestEigBiorthogonal:
     def test_biorthogonality_and_completeness(self):
         es = eig_biorthogonal(ginibre(30))
-        assert es.biorthogonality_residual() < 1e-8
+        assert np.max(np.abs(es.left @ es.right - np.eye(es.n))) < 1e-8
         recon = sum(np.outer(es.right[:, k], es.left[k, :])
                     for k in range(es.n))
         assert np.max(np.abs(recon - np.eye(es.n))) < 1e-8
@@ -101,7 +101,7 @@ class TestOverlapMatrix:
 class TestCsvRows:
     def test_eigen_rows_and_csv(self, tmp_path):
         es = eig_biorthogonal(ginibre(6))
-        rows = eigen_rows(3, es)
+        rows = eigen_rows(3, es, diagonal_overlaps(es))
         assert len(rows) == 6
         assert rows.sample_id == 3
         path = tmp_path / "eigen.csv"
@@ -113,15 +113,16 @@ class TestCsvRows:
 
     def test_pair_rows_filters(self, tmp_path):
         es = eig_biorthogonal(ginibre(8))
-        all_rows = pair_rows(0, es)
+        o = overlap_matrix(es)
+        all_rows = pair_rows(0, es, o)
         assert len(all_rows) == 8 * 7
         lam = es.eigenvalues
         dmin = np.median(np.abs(lam[:, None] - lam[None, :])[
             ~np.eye(8, dtype=bool)])
-        kept = pair_rows(0, es, min_separation=dmin)
+        kept = pair_rows(0, es, o, min_separation=dmin)
         assert 0 < len(kept) < len(all_rows)
         rng = np.random.default_rng(0)
-        thinned = pair_rows(0, es, subsample=0.25, rng=rng)
+        thinned = pair_rows(0, es, o, subsample=0.25, rng=rng)
         assert len(thinned) < len(all_rows)
         path = tmp_path / "pairs.csv"
         write_pairs_csv(path, [all_rows])

@@ -55,6 +55,17 @@ class TestBiunitaryGreen:
         rt = qsolver.biunitary_rt("induced_ginibre", alpha=1.0)
         res = qsolver.solve_green(rt, 0.3)
         assert res.branch == "holomorphic"
+        assert not qsolver.solve_green(rt, 0.0).g.any()
+
+    def test_origin_bulk_limit(self):
+        rt = qsolver.biunitary_rt("ginibre")
+        res = qsolver.solve_green(rt, 0.0)
+        assert res.branch == "nonholomorphic"
+        assert res.g[0, 0] == 0.0
+        assert qsolver.o1_from_green(res) == pytest.approx(1.0 / math.pi,
+                                                           rel=1e-12)
+        with pytest.raises(ValueError, match="diverges at the origin"):
+            qsolver.solve_green(qsolver.biunitary_rt("product_ginibre"), 0.0)
 
 
 class TestScalarGreens:
@@ -158,6 +169,19 @@ class TestPipeline:
         # the bulk: the hole point enters only through A(|z2|)
         rt = qsolver.biunitary_rt("induced_ginibre", alpha=0.5)
         assert qsolver.o2_from_k(rt, 0.3 + 0.2j, 0.9 - 0.3j) == 0
+
+    @pytest.mark.parametrize("kind,kwargs", [
+        ("ginibre", {}), ("truncated_unitary", {"kappa": 1.0}),
+        ("spherical", {}), ("induced_ginibre", {"alpha": 0.0})])
+    @pytest.mark.parametrize("z1,z2", [(0.5, 0.001),
+                                       (0.3 + 0.2j, 0.001j),
+                                       (-0.4, -0.001)])
+    def test_stencil_through_origin(self, kind, kwargs, z1, z2):
+        # one stencil point of z2 sits exactly on z = 0, where the hole
+        # branch gave G = 0 and o2_from_k about 66 against -1.63
+        rt = qsolver.biunitary_rt(kind, **kwargs)
+        ref = analytic.o2_biunitary_closed_form(kind, z1, z2, **kwargs)
+        assert qsolver.o2_from_k(rt, z1, z2) == pytest.approx(ref, rel=1e-8)
 
     @pytest.mark.parametrize("z2", [0.0009, 0.001])
     def test_divergent_origin_rejected(self, z2):
