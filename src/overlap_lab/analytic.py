@@ -103,7 +103,7 @@ def o1_biunitary(fspec, r):
     if r == 0.0:
         if fspec.r_in > 0:
             return 0.0
-        eps = 1e-6
+        eps = 1e-8
         c = fspec(eps) / eps ** 2
         if c > (1.0 + 1e-3) * fspec(100.0 * eps) / (100.0 * eps) ** 2:
             return math.inf

@@ -286,22 +286,22 @@ def estimate_traced_resolvent_product(samples, z1, z2,
     ``RESOLVENT_MARGIN`` of an evaluation point.
     """
     z1 = complex(z1)
-    z2bar = np.conj(complex(z2))
+    z2 = complex(z2)
 
     def contributions():
         warned = False
         for _, x, _ in iter_samples(samples):
             n = x.shape[0]
             eye = np.eye(n)
-            a = np.linalg.solve(z1 * eye - x, eye)
-            b = np.linalg.solve(z2bar * eye - x.conj().T, eye)
+            # one inverse per distinct point: (zbar2 - X+)^{-1} = r[z2]^H
+            r = {z: np.linalg.inv(z * eye - x) for z in {z1, z2}}
             limit = np.sqrt(n) / RESOLVENT_MARGIN
-            if not warned and (np.linalg.norm(a, "fro") > limit
-                               or np.linalg.norm(b, "fro") > limit):
+            if not warned and any(np.linalg.norm(a, "fro") > limit
+                                  for a in r.values()):
                 warnings.warn(
                     "evaluation point close to the empirical spectrum")
                 warned = True
-            yield np.trace(a @ b) / n, 1
+            yield np.vdot(r[z2], r[z1]) / n, 1
 
     mean, err, _, n_used = _batch_means(contributions(), config.n_batches)
     return ScalarEstimate(complex(mean), float(err), n_used)

@@ -154,14 +154,18 @@ def pt_green_scalar(z):
 
 
 def qs_green_scalar(z, m, gamma):
-    """Holomorphic traced resolvent of the quantum scattering ensemble."""
+    """Holomorphic traced resolvent of the quantum scattering ensemble.
+
+    Solves g + 1/g + m i gamma/(1 - i gamma g) = z: the GUE's R-transform
+    plus the channel term, the scalar form of :func:`build_rung`'s rung.
+    """
     z = complex(z)
     ig = 1j * gamma
 
     def coeffs(zz):
-        # (g^2 + 1 - zz g)(1 - ig g) + i m gamma g^2 = 0
-        # -ig g^3 + (1 + ig zz + i m gamma) g^2 + (-zz - ig) g + 1 = 0
-        return [-ig, 1.0 + ig * zz + 1j * m * gamma, -(zz + ig), 1.0]
+        # (g^2 + 1 - zz g)(1 - ig g) + ig m g = 0
+        # -ig g^3 + (1 + ig zz) g^2 + (ig m - zz - ig) g + 1 = 0
+        return [-ig, 1.0 + ig * zz, ig * m - zz - ig, 1.0]
 
     return _track_cubic_root(coeffs, z)
 
@@ -176,8 +180,11 @@ def solve_green(rt, z):
     (product_ginibre) it raises ValueError.
     """
     z = complex(z)
-    if rt.kind == "elliptic" and _elliptic_inside(rt.sigma, rt.tau, z):
+    if rt.kind == "elliptic":
         sigma, tau = rt.sigma, rt.tau
+        if not _elliptic_inside(sigma, tau, z):
+            return GreenResult(_quaternion(_elliptic_g_holo(sigma, tau, z)),
+                               "holomorphic", z)
         s2 = sigma ** 2
         denom = s2 * (1.0 - tau ** 2)
         g11 = (np.conj(z) - z * tau) / denom
@@ -187,21 +194,22 @@ def solve_green(rt, z):
     if rt.kind.startswith("biunitary_"):
         fspec = rt.fspec
         r = abs(z)
+        g = fspec(r) / z if r else 0j  # zero inside the hole, 1/z outside
         if fspec.r_in < r < fspec.r_out or r == fspec.r_in == 0.0:
             o1 = o1_biunitary(fspec, r)
             if math.isinf(o1):
                 raise ValueError("O_1 diverges at the origin")
             off = 1j * math.sqrt(max(math.pi * o1, 0.0))
-            return GreenResult(_quaternion(fspec(r) / z if r else 0j, off),
-                               "nonholomorphic", z)
-        if r <= fspec.r_in:
-            g = 0.0 + 0.0j if r == 0 else fspec(r) / z  # zero inside the hole
-            return GreenResult(_quaternion(g), "holomorphic", z)
-    branch = "holomorphic"
-    if (rt.kind == "pseudo_hermitian_product"
-            and z.imag == 0.0 and 0.0 < z.real < PT_EDGE):
-        branch = "nonholomorphic"
-    return GreenResult(_quaternion(holo_g_scalar(rt, z)), branch, z)
+            return GreenResult(_quaternion(g, off), "nonholomorphic", z)
+        return GreenResult(_quaternion(g), "holomorphic", z)
+    if rt.kind == "pseudo_hermitian_product":
+        on_axis = z.imag == 0.0 and 0.0 < z.real < PT_EDGE
+        return GreenResult(_quaternion(pt_green_scalar(z)),
+                           "nonholomorphic" if on_axis else "holomorphic", z)
+    if rt.kind == "quantum_scattering":
+        return GreenResult(_quaternion(qs_green_scalar(z, rt.m, rt.gamma)),
+                           "holomorphic", z)
+    raise ValueError(f"unsupported R-transform kind {rt.kind!r}")
 
 
 def o1_from_green(green):
@@ -371,47 +379,29 @@ def o2_from_k(rt, z1, z2):
     return d / math.pi ** 2
 
 
-def _rtilde_1b(rt, a, b):
-    """R_1b / Q_1b at Q = diag(a, b) (the holomorphic rung component)."""
-    if rt.kind == "elliptic":
-        return rt.sigma ** 2
-    if rt.kind.startswith("biunitary_"):
-        if not np.isfinite(rt.fspec.r_out):
-            raise ValueError("no holomorphic exterior for unbounded spectrum")
-        return rt.fspec.r_out ** 2
-    if rt.kind == "pseudo_hermitian_product":
-        return ((-3.0 + a + b + a * b) ** 2
-                / ((1.0 - a) ** 2 * (1.0 - b) ** 2))
-    if rt.kind == "quantum_scattering":
-        ig = 1j * rt.gamma
-        return 1.0 + rt.m * ig / (1.0 - ig * a) * (-ig) / (1.0 + ig * b)
-    raise ValueError(f"no holomorphic rung for kind {rt.kind!r}")
-
-
-def holo_g_scalar(rt, z):
-    """Scalar holomorphic resolvent g(z) outside the spectrum."""
-    z = complex(z)
-    if rt.kind == "elliptic":
-        return _elliptic_g_holo(rt.sigma, rt.tau, z)
-    if rt.kind.startswith("biunitary_"):
-        return 1.0 / z
-    if rt.kind == "pseudo_hermitian_product":
-        return pt_green_scalar(z)
-    if rt.kind == "quantum_scattering":
-        return qs_green_scalar(z, rt.m, rt.gamma)
-    raise ValueError(f"unsupported R-transform kind {rt.kind!r}")
+def _pt_rung(a, b):
+    """B^{11}_{bb} at Q = diag(a, b): the pseudohermitian product's only
+    two-point data (it has no 4x4 rung, which :func:`build_rung` refuses)."""
+    return (-3.0 + a + b + a * b) ** 2 / ((1.0 - a) ** 2 * (1.0 - b) ** 2)
 
 
 def h_holomorphic(rt, z1, z2bar):
     """Traced product of resolvents h(z1, zbar2) outside the spectrum.
 
-    ``z2bar`` is the value of the conjugated second argument.  Evaluates
-    g gbar / (1 - g gbar B) with the rung component obtained from the
-    reduced R-transform at diag(g(z1), gbar(zbar2)).
+    ``z2bar`` is the value of the conjugated second argument.  Outside
+    the spectrum G and the rung are diagonal, so the ladder's
+    K^{11}_{bb} reduces to g1 g2 / (1 - g1 g2 B^{11}_{bb}) with g1 =
+    g(z1) and g2 = conj g(z2), the resolvent of X+ at zbar2.  A point
+    inside the spectrum or a single-ring hole (G = 0) raises ValueError.
     """
-    g1 = holo_g_scalar(rt, z1)
-    g2 = holo_g_scalar(rt, z2bar)
-    b = _rtilde_1b(rt, g1, g2)
+    q1 = solve_green(rt, z1)
+    q2 = solve_green(rt, np.conj(z2bar))
+    if any(q.branch != "holomorphic" or not q.g.any() for q in (q1, q2)):
+        raise ValueError("h_holomorphic needs both points outside the "
+                         "spectrum and any hole")
+    g1, g2 = q1.g[0, 0], q2.g[1, 1]
+    b = (_pt_rung(g1, g2) if rt.kind == "pseudo_hermitian_product"
+         else build_rung(rt, q1, q2)[1, 1])
     den = 1.0 - g1 * g2 * b
     if abs(den) < 1e-13:
         raise ZeroDivisionError("pole of the two-point resolvent product")
@@ -485,12 +475,12 @@ def wheel_word_covariance(rt, p, q):
     ``zbar2 = R e^{i phi}``.
     """
     thetas = 2.0 * math.pi * np.arange(WHEEL_N_THETA) / WHEEL_N_THETA
-    g1s = [solve_green(rt, WHEEL_RADIUS * np.exp(1j * th)) for th in thetas]
-    # zbar2 = R e^{i phi}
-    g2s = [solve_green(rt, WHEEL_RADIUS * np.exp(-1j * ph)) for ph in thetas]
+    circle = [solve_green(rt, WHEEL_RADIUS * np.exp(1j * th)) for th in thetas]
+    # zbar2 = R e^{i phi_k}, so z2 = R e^{-i phi_k} is circle point -k
+    mirror = [circle[-k] for k in range(WHEEL_N_THETA)]
     vals = np.array([[wheel_generating_function(a.g, b.g,
                                                 build_rung(rt, a, b))
-                      for b in g2s] for a in g1s])
+                      for b in mirror] for a in circle])
     # coefficient of e^{-i p theta} e^{-i q phi}
     phase = np.exp(1j * (p * thetas[:, None] + q * thetas[None, :]))
     coeff = np.sum(vals * phase) / WHEEL_N_THETA ** 2

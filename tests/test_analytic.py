@@ -63,6 +63,16 @@ class TestO1Biunitary:
         assert analytic.o1_biunitary(fs, 0.0) == pytest.approx(limit,
                                                                rel=1e-5)
 
+    @pytest.mark.parametrize("kind, kwargs, limit", [
+        ("truncated_unitary", {"kappa": 1.0}, 1 / math.pi),
+        ("truncated_unitary", {"kappa": 0.5}, 0.5 / math.pi),
+        ("spherical", {}, 1 / math.pi),
+    ])
+    def test_origin_limit_unbiased(self, kind, kwargs, limit):
+        # F(eps)/(pi eps^2) read at eps = 1e-6 was about 1e-12 off
+        fs = analytic.radial_cdf(kind, **kwargs)
+        assert abs(analytic.o1_biunitary(fs, 0.0) - limit) <= 2 * math.ulp(limit)
+
     def test_origin_divergence(self):
         # F ~ r near the origin, so F(1-F)/(pi r^2) ~ 1/(pi r)
         fs = analytic.radial_cdf("product_ginibre")

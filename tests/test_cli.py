@@ -6,10 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overlap_lab import cli
 from overlap_lab.cli import _complex_arg, main
@@ -280,10 +283,26 @@ class TestEstimate:
                   "dbd5a8438eedcdb93c90feadd309d4ac",
             "o2": "755b23ab75f962199870e50151be6582"
                   "0eaf2b53077b0939774ece5b0b7d50cc",
-            "hprod": "6ee6fd9e9c9eb96e96d2a5c83637694e"
-                     "52da6338e0d5456fb545f00b9cdd1cce",
+            "hprod": "53fdd6fbf55abd401cc594687d15eaf9"
+                     "a7729d30e7151f52dc1a1ddcf56e1258",
             "tracecov": "5c60abc108bf809e55831baea884576a"
                         "60326919182d33560846cb8f4e4b43f9"}
+
+    @given(command=st.sampled_from(["sample", "estimate"]),
+           params=st.dictionaries(
+               st.text(max_size=12),
+               st.one_of(st.none(), st.booleans(), st.integers(),
+                         st.floats(allow_nan=False), st.text(max_size=12)),
+               max_size=12),
+           seed=st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_params_hash_survives_write_load(self, command, params, seed):
+        manifest = cli.RunManifest(command, params, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "manifest.json")
+            manifest.write(path)
+            loaded = cli.RunManifest.load(path)
+        assert loaded.params_hash() == manifest.params_hash()
 
     def test_missing_run_dir_exit_code(self, tmp_path):
         assert main(["estimate", "rho", "--in", str(tmp_path / "nope")]) == 1

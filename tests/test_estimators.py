@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overlap_lab import analytic, estimators
-from overlap_lab.ensembles import EnsembleSpec, sample_many
+from overlap_lab.ensembles import KINDS, EnsembleSpec, sample_many
 from overlap_lab.estimators import EstimatorConfig
 
 
@@ -52,6 +54,19 @@ class TestSumRule:
     def test_ginibre_sum_rule(self):
         for _, x, _ in ginibre_samples(40, 3):
             assert estimators.sum_rule_residual(x) < 1e-9
+
+    @given(kind=st.sampled_from(KINDS), n=st.integers(2, 12),
+           sigma=st.floats(0.1, 3.0), tau=st.floats(-1.0, 1.0),
+           alpha=st.floats(0.0, 3.0), kappa=st.floats(0.0, 3.0),
+           m=st.floats(0.0, 3.0), gamma=st.floats(0.0, 3.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_sum_rule_any_valid_spec(self, kind, n, sigma, tau, alpha, kappa,
+                                     m, gamma, seed):
+        spec = EnsembleSpec(kind, n, sigma=sigma, tau=tau, alpha=alpha,
+                            kappa=kappa, m=m, gamma=gamma)
+        (_, x, _), = sample_many(spec, seed, 1)
+        assert estimators.sum_rule_residual(x) < 1e-9
 
 
 class TestDensity:
@@ -224,6 +239,24 @@ class TestTracedResolventProduct:
         est = estimators.estimate_traced_resolvent_product(
             ginibre_samples(60, 80, seed=8), 2.0, 2.0)
         assert est.value.real == pytest.approx(1.0 / 3.0, rel=0.03)
+
+    def test_one_inverse_per_distinct_point(self, monkeypatch):
+        samples = [x for _, x, _ in ginibre_samples(10, 4, seed=3)]
+        z1, z2 = 2.0 + 0.5j, 1.5 - 0.5j
+        direct = np.mean([
+            np.trace(np.linalg.inv(z1 * np.eye(10) - x)
+                     @ np.linalg.inv(np.conj(z2) * np.eye(10) - x.conj().T))
+            / 10 for x in samples])
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a: calls.append(1) or inv(a))
+        est = estimators.estimate_traced_resolvent_product(samples, z1, z2)
+        assert est.value == pytest.approx(direct, rel=1e-13)
+        assert len(calls) == 8
+        est = estimators.estimate_traced_resolvent_product(samples, z1, z1)
+        assert len(calls) == 12
+        assert abs(est.value.imag) <= 1e-15 * est.value.real
 
     def test_near_spectrum_warning(self):
         close = np.diag([2.0 - 1e-6, 0.1, -0.3, 0.5]).astype(complex)

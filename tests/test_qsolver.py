@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from overlap_lab import analytic, qsolver
+from overlap_lab import analytic, estimators, qsolver
+from overlap_lab.ensembles import EnsembleSpec, sample_many
 
 
 class TestEllipticGreen:
@@ -102,15 +103,24 @@ class TestScalarGreens:
             qsolver.pt_green_scalar(0.0)
 
     def test_qs_cubic_residual(self):
+        # GUE g + 1/g plus the channel R-transform m i gamma/(1 - i gamma g)
         m, gamma = 2.0, 0.7
         for z in (3.0 + 1.0j, -2.0 + 0.5j, 10.0 + 0.1j):
             g = qsolver.qs_green_scalar(z, m, gamma)
             ig = 1j * gamma
-            res = (g ** 2 + 1.0 - z * g) * (1.0 - ig * g) \
-                + 1j * m * gamma * g ** 2
-            assert abs(res) < 1e-9
+            assert abs(g + 1.0 / g + m * ig / (1.0 - ig * g) - z) < 1e-9
         assert qsolver.qs_green_scalar(100.0, m, gamma) == pytest.approx(
             0.01, rel=0.05)
+
+    @pytest.mark.parametrize("z", [5.0, 4.0 + 3.0j, 1.0 - 3.0j,
+                                   -1.137 - 0.201j])
+    def test_qs_r_transform_identity(self, z):
+        # the cubic once carried i m gamma g^2 for i m gamma g: at z = 5
+        # it gave 0.2059+0.0105i against Monte Carlo 0.19025+0.04506i
+        m, gamma = 1.5, 0.8
+        g = qsolver.qs_green_scalar(z, m, gamma)
+        ig = 1j * gamma
+        assert abs(g + 1.0 / g + m * ig / (1.0 - ig * g) - z) < 1e-10 * abs(z)
 
 
 class TestPipeline:
@@ -163,6 +173,12 @@ class TestPipeline:
         b = qsolver.build_rung(rt, g1, g2)
         _, pole = qsolver.solve_bethe_salpeter(g1.g, g2.g, b)
         assert pole
+
+    def test_quantum_scattering_vanishes_outside(self):
+        # below the real axis O2 = 0; the wrong cubic gave 1.7e-4 here
+        rt = qsolver.quantum_scattering_rt(m=1.5, gamma=0.8)
+        got = qsolver.o2_from_k(rt, -1.137 - 0.201j, -1.121 - 0.502j)
+        assert abs(got) < 1e-9
 
     def test_hole_point_vanishes(self):
         # z1 lies in the induced_ginibre hole (|z1| < sqrt(alpha)), z2 in
@@ -264,6 +280,43 @@ class TestQuantumScatteringRung:
 
 
 class TestHolomorphicTwoPoint:
+    @pytest.mark.parametrize("rt,z1,z2bar", [
+        (qsolver.elliptic_rt(1.0, 0.5), 0.2, 0.1),
+        (qsolver.biunitary_rt("induced_ginibre", alpha=1.0), 0.3, 0.3),
+        (qsolver.pseudo_hermitian_rt(), 3.0, 3.0),
+        (qsolver.biunitary_rt("spherical"), 2.0, 2.0),
+    ], ids=["elliptic_interior", "hole", "pt_axis", "spherical"])
+    def test_raises_inside_spectrum(self, rt, z1, z2bar):
+        # these once returned continuation values, e.g. -0.524 in the hole
+        # for ||(z - X)^{-1}||_F^2/N > 0
+        with pytest.raises(ValueError):
+            qsolver.h_holomorphic(rt, z1, z2bar)
+
+    @pytest.mark.parametrize("rt,z1,z2", [
+        (qsolver.elliptic_rt(1.0, 0.5), 4.0, 2.0 + 1.0j),
+        (qsolver.biunitary_rt("truncated_unitary", kappa=1.0),
+         1.5 + 1.0j, -2.0 + 0.3j),
+        (qsolver.quantum_scattering_rt(m=1.5, gamma=0.8), 5.0, 4.0 + 3.0j),
+    ])
+    def test_is_ladder_component(self, rt, z1, z2):
+        g1 = qsolver.solve_green(rt, z1)
+        g2 = qsolver.solve_green(rt, z2)
+        k, _ = qsolver.solve_bethe_salpeter(
+            g1.g, g2.g, qsolver.build_rung(rt, g1, g2))
+        assert qsolver.h_holomorphic(rt, z1, np.conj(z2)) == pytest.approx(
+            k[1, 1], rel=1e-14)
+
+    @pytest.mark.parametrize("z1,z2", [(5.0, 5.0), (4.0 + 3.0j, 4.0 + 3.0j),
+                                       (1.0 - 3.0j, 4.0 + 3.0j)])
+    def test_quantum_scattering_matches_monte_carlo(self, z1, z2):
+        # h took g(zbar2) for conj g(z2) and a wrong cubic: 15-27% off
+        spec = EnsembleSpec("quantum_scattering", 100, m=1.5, gamma=0.8)
+        est = estimators.estimate_traced_resolvent_product(
+            sample_many(spec, 23, 100), z1, z2)
+        rt = qsolver.quantum_scattering_rt(m=1.5, gamma=0.8)
+        got = qsolver.h_holomorphic(rt, z1, np.conj(z2))
+        assert abs(got - est.value) < 0.01 * abs(est.value)
+
     @pytest.mark.parametrize("kind,r_out2", [
         ("ginibre", 1.0),
         ("product_ginibre", 1.0),
@@ -319,6 +372,15 @@ class TestWheel:
         assert qsolver.wheel_word_covariance(rt, 2, 2) == pytest.approx(
             2.0, abs=1e-8)
         assert abs(qsolver.wheel_word_covariance(rt, 1, 2)) < 1e-8
+
+    def test_circle_solved_once(self, monkeypatch):
+        # z2 = R e^{-i phi_k} is circle point -k: one solve per point
+        calls = []
+        solve = qsolver.solve_green
+        monkeypatch.setattr(qsolver, "solve_green",
+                            lambda rt, z: calls.append(z) or solve(rt, z))
+        qsolver.wheel_word_covariance(qsolver.biunitary_rt("ginibre"), 1, 1)
+        assert len(calls) == qsolver.WHEEL_N_THETA
 
     def test_wheel_vanishes_far_outside(self):
         rt = qsolver.biunitary_rt("ginibre")
