@@ -6,43 +6,54 @@ samplers.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 __all__ = [
     "PairHistogram",
     "RngStream",
+    "stencil_pairs",
     "wirtinger_mixed_derivative",
 ]
 
 STENCIL_H = 1e-3  # step of the Wirtinger stencils in analytic and qsolver
 
 
+def _stencil(z1, z2, h):
+    """The 16 argument pairs of the stencil of step h: four for each pair
+    of real-coordinate directions, in the order x1 x2, x1 y2, y1 x2, y1 y2."""
+    return [(w1, w2) for d1, d2 in product((h, 1j * h), repeat=2)
+            for w1 in (z1 + d1, z1 - d1) for w2 in (z2 + d2, z2 - d2)]
+
+
 def _mixed_second(f, z1, z2, h):
     """Raw O(h^2) estimate of d/dzbar1 d/dz2 f on a 16-point stencil."""
-    dx1 = h
-    dy1 = 1j * h
+    v = [f(w1, w2) for w1, w2 in _stencil(z1, z2, h)]
     # cross second derivatives in the four real-coordinate pairs
-    def cross(d1, d2):
-        return (f(z1 + d1, z2 + d2) - f(z1 + d1, z2 - d2)
-                - f(z1 - d1, z2 + d2) + f(z1 - d1, z2 - d2)) / (4.0 * h * h)
-
-    dxx = cross(dx1, h)
-    dxy = cross(dx1, 1j * h)
-    dyx = cross(dy1, h)
-    dyy = cross(dy1, 1j * h)
+    dxx, dxy, dyx, dyy = ((v[i] - v[i + 1] - v[i + 2] + v[i + 3])
+                          / (4.0 * h * h) for i in range(0, 16, 4))
     # d_zbar1 = (d_x1 + i d_y1)/2,  d_z2 = (d_x2 - i d_y2)/2
     return 0.25 * (dxx + dyy + 1j * (dyx - dxy))
+
+
+def stencil_pairs(z1, z2, h=STENCIL_H):
+    """The 32 argument pairs at which :func:`wirtinger_mixed_derivative`
+    evaluates ``f``, as the same expressions: a table of precomputed
+    values keyed by them is hit bit for bit."""
+    z1 = complex(z1)
+    z2 = complex(z2)
+    return _stencil(z1, z2, h) + _stencil(z1, z2, 0.5 * h)
 
 
 def wirtinger_mixed_derivative(f, z1, z2, h=STENCIL_H):
     """Mixed Wirtinger derivative d/dzbar1 d/dz2 of ``f(z1, z2)``.
 
     ``f`` must be evaluable on the central-difference stencil around
-    ``(z1, z2)``; it may depend on ``conj(z1)``, ``conj(z2)`` (the
-    derivative is taken in the four real coordinates).  The raw stencil
-    is O(h^2) accurate; the h and h/2 results are Richardson-combined to
-    O(h^4).
+    ``(z1, z2)`` (the points of :func:`stencil_pairs`); it may depend on
+    ``conj(z1)``, ``conj(z2)`` (the derivative is taken in the four real
+    coordinates).  The raw stencil is O(h^2) accurate; the h and h/2
+    results are Richardson-combined to O(h^4).
     """
     z1 = complex(z1)
     z2 = complex(z2)

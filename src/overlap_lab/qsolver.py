@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import _elliptic_inside, _o1_at, o1_biunitary, radial_cdf
-from .numcore import STENCIL_H, wirtinger_mixed_derivative
+from .numcore import STENCIL_H, stencil_pairs, wirtinger_mixed_derivative
 
 __all__ = [
     "RTransformSpec",
@@ -34,7 +34,6 @@ __all__ = [
     "o1_from_green",
     "build_rung",
     "solve_bethe_salpeter",
-    "k_eigenvector_component",
     "o2_from_k",
     "h_holomorphic",
     "o2_real_spectrum",
@@ -112,20 +111,29 @@ def _elliptic_g_holo(sigma, tau, z):
     return (z - s) / (2.0 * sigma ** 2 * tau)
 
 
-def _track_cubic_root(coeff_func, z_target, steps=160, far=60.0):
-    """Follow the 1/z root of a parametric cubic from far away to z_target.
+def _track_cubic_roots(coeff_func, targets, steps=160, far=60.0):
+    """Follow the 1/z root of a parametric cubic from far away to each target.
 
     Continuation runs along the straight segment from
-    ``Re(z) + i sign(Im z) far`` down to ``z_target``, which never
-    crosses a real spectrum for targets off (or just off) the real axis.
+    ``Re(z) + i sign(Im z) far`` down to the target, which never crosses
+    a real spectrum for targets off (or just off) the real axis.  The
+    companion matrices of every step of every target form one
+    ``(P, steps - 1, 3, 3)`` stack whose eigenvalues are the roots
+    ``np.roots`` gives; the nearest-root rule then walks each path.
     """
-    s = 1.0 if z_target.imag >= 0 else -1.0
-    z0 = complex(z_target.real, s * far)
+    targets = np.asarray(targets, dtype=complex)
+    z0 = targets.real + 1j * np.where(targets.imag >= 0, far, -far)
+    t = np.linspace(0.0, 1.0, steps)[1:]
+    z = z0[:, None] + t * (targets - z0)[:, None]
+    c = np.stack(np.broadcast_arrays(*coeff_func(z)), axis=-1)
+    companion = np.zeros(z.shape + (3, 3), dtype=complex)
+    companion[..., 0, :] = -c[..., 1:] / c[..., :1]
+    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
+    roots = np.linalg.eigvals(companion)
     g = 1.0 / z0
-    for t in np.linspace(0.0, 1.0, steps)[1:]:
-        z = z0 + t * (z_target - z0)
-        roots = np.roots(coeff_func(z))
-        g = roots[np.argmin(np.abs(roots - g))]
+    path = np.arange(len(targets))
+    for step in np.moveaxis(roots, 1, 0):
+        g = step[path, np.argmin(np.abs(step - g[:, None]), axis=1)]
     return g
 
 
@@ -150,7 +158,14 @@ def pt_green_scalar(z):
         raise ValueError("exceptional point x=0: Green's function diagnostic")
     if z.imag == 0.0 and 0.0 < z.real < PT_EDGE:
         z = complex(z.real, 1e-12)
-    return _track_cubic_root(_pt_cubic_coeffs, z)
+    return _track_cubic_roots(_pt_cubic_coeffs, [z])[0]
+
+
+def _qs_cubic_coeffs(m, gamma):
+    # (g^2 + 1 - z g)(1 - ig g) + ig m g = 0, ig = i gamma:
+    # -ig g^3 + (1 + ig z) g^2 + (ig m - z - ig) g + 1 = 0
+    ig = 1j * gamma
+    return lambda z: [-ig, 1.0 + ig * z, ig * m - z - ig, 1.0]
 
 
 def qs_green_scalar(z, m, gamma):
@@ -159,15 +174,7 @@ def qs_green_scalar(z, m, gamma):
     Solves g + 1/g + m i gamma/(1 - i gamma g) = z: the GUE's R-transform
     plus the channel term, the scalar form of :func:`build_rung`'s rung.
     """
-    z = complex(z)
-    ig = 1j * gamma
-
-    def coeffs(zz):
-        # (g^2 + 1 - zz g)(1 - ig g) + ig m g = 0
-        # -ig g^3 + (1 + ig zz) g^2 + (ig m - zz - ig) g + 1 = 0
-        return [-ig, 1.0 + ig * zz, ig * m - zz - ig, 1.0]
-
-    return _track_cubic_root(coeffs, z)
+    return _track_cubic_roots(_qs_cubic_coeffs(m, gamma), [complex(z)])[0]
 
 
 def solve_green(rt, z):
@@ -207,8 +214,13 @@ def solve_green(rt, z):
         return GreenResult(_quaternion(pt_green_scalar(z)),
                            "nonholomorphic" if on_axis else "holomorphic", z)
     if rt.kind == "quantum_scattering":
-        return GreenResult(_quaternion(qs_green_scalar(z, rt.m, rt.gamma)),
-                           "holomorphic", z)
+        g = qs_green_scalar(z, rt.m, rt.gamma)
+        # 1 - |g|^2 B^{11}_{bb}(z, zbar) <= 0, the ladder's pole: inside
+        if abs(g) ** 2 * (1.0 + rt.m * rt.gamma ** 2
+                          / abs(1.0 - 1j * rt.gamma * g) ** 2) >= 1.0:
+            raise ValueError("quantum_scattering point inside the spectrum, "
+                             "where no nonholomorphic solution is known")
+        return GreenResult(_quaternion(g), "holomorphic", z)
     raise ValueError(f"unsupported R-transform kind {rt.kind!r}")
 
 
@@ -236,12 +248,15 @@ def _x_and_a(fspec, r):
 
 
 def _s_t_functions(rt, r1, r2):
-    """Auxiliary rung functions S and T of the determining sequence.
+    """Auxiliary rung functions S and T of the determining sequence, and
+    det R = S^2 - x1 x2 T^2 of the rung block R of :func:`_ring_block`.
 
     S = (x1 A1 - x2 A2)/(x1 - x2) and T = (A1 - A2)/(x1 - x2), taken
     along the radius (both induced_ginibre edges map to x = 0), with the
     equal-radius limit.  Both points outside the support give A(0) =
-    r_out^2 and A'(0) = r_out^2 (2 r_out/F'(r_out) - r_out^2).
+    r_out^2 and A'(0) = r_out^2 (2 r_out/F'(r_out) - r_out^2).  Where
+    x1 = x2 at r1 != r2 (around a hole) S and T diverge, but det R =
+    (x1 A1^2 - x2 A2^2)/(x1 - x2) keeps its ratio to them exact.
     """
     fspec = rt.fspec
     x1, a1 = _x_and_a(fspec, r1)
@@ -250,25 +265,52 @@ def _s_t_functions(rt, r1, r2):
         r_out = fspec.r_out
         if not math.isfinite(r_out):
             raise ValueError("no exterior for an unbounded spectrum")
-        return r_out ** 2, r_out ** 2 * (2.0 * r_out / fspec.df(r_out)
-                                         - r_out ** 2)
-    if abs(r1 - r2) < 1e-7:
+        s = r_out ** 2
+        t = r_out ** 2 * (2.0 * r_out / fspec.df(r_out) - r_out ** 2)
+    elif abs(r1 - r2) < 1e-7:
         rm = 0.5 * (r1 + r2)
         xm, am = _x_and_a(fspec, rm)
         xp, ap = _x_and_a(fspec, rm + 1e-6)
         xn, an = _x_and_a(fspec, rm - 1e-6)
         t = (ap - an) / (xp - xn)
-        return am + xm * t, t
-    s = (x1 * a1 - x2 * a2) / (x1 - x2)
-    t = (a1 - a2) / (x1 - x2)
-    return s, t
+        s = am + xm * t
+    else:
+        d = x1 - x2
+        return ((x1 * a1 - x2 * a2) / d, (a1 - a2) / d,
+                (x1 * a1 ** 2 - x2 * a2 ** 2) / d)
+    return s, t, s * s - x1 * x2 * t * t
 
 
 def _green_parts(g):
-    """(2, 2) array and (optional) spectral point of a Green's function."""
+    """(..., 2, 2) array and spectral points (None for bare arrays) of a
+    Green's function, or of a sequence of them stacked."""
     if isinstance(g, GreenResult):
         return g.g, g.z
+    if isinstance(g, (list, tuple)):
+        return np.array([q.g for q in g]), np.array([q.z for q in g])
     return np.asarray(g), None
+
+
+def _ring_block(rt, gq, gp):
+    """Nonzero (1b, b1) block R = [[S, a T], [b T, S]] of a single ring's
+    rung per pair, a and b the products of the G_1b and of the G_b1, and
+    det R of :func:`_s_t_functions`."""
+    qq, zq = _green_parts(gq)
+    qp, zp = _green_parts(gp)
+    if zq is None or zp is None:
+        raise ValueError(
+            "biunitary rung needs GreenResult inputs (radius-dependent)")
+    # S, T and det R depend on the two radii alone: once per distinct pair
+    radii = list(zip(map(abs, np.ravel(zq).tolist()),
+                     map(abs, np.ravel(zp).tolist())))
+    cache = {r: _s_t_functions(rt, *r) for r in dict.fromkeys(radii)}
+    s, t, det = np.array([cache[r] for r in radii]).T.reshape(
+        (3,) + np.shape(zq))
+    r = np.empty(np.shape(zq) + (2, 2), dtype=complex)
+    r[..., 0, 0] = r[..., 1, 1] = s   # B^{11}_{bb}, B^{bb}_{11}
+    r[..., 0, 1] = qq[..., 0, 1] * qp[..., 0, 1] * t   # B^{1b}_{b1}
+    r[..., 1, 0] = qq[..., 1, 0] * qp[..., 1, 0] * t   # B^{b1}_{1b}
+    return r, det
 
 
 def build_rung(rt, gq, gp):
@@ -276,33 +318,29 @@ def build_rung(rt, gq, gp):
 
     ``gq`` and ``gp`` are the Green's functions at the two spectral
     points, as :class:`GreenResult` (or bare (2, 2) arrays for kinds whose
-    rung needs no spectral-point information).  For elliptic ensembles
-    the rung is the constant diagonal of second cumulants; for biunitary
-    kinds only the four alternating-cumulant components survive; for the
-    quantum scattering ensemble it is the closed resummation of the
-    channel cumulants.
+    rung needs no spectral-point information); equal-length sequences of
+    them give the ``(n, 4, 4)`` stack of their pairs' rungs.  For
+    elliptic ensembles the rung is the constant diagonal of second
+    cumulants; for biunitary kinds only the four alternating-cumulant
+    components survive; for the quantum scattering ensemble it is the
+    closed resummation of the channel cumulants.
     """
     qq, zq = _green_parts(gq)
     qp, zp = _green_parts(gp)
+    shape = qq.shape[:-2] + (4, 4)
     if rt.kind == "elliptic":
         s2 = rt.sigma ** 2
-        return np.diag([s2 * rt.tau, s2, s2, s2 * rt.tau]).astype(complex)
+        b = np.diag([s2 * rt.tau, s2, s2, s2 * rt.tau]).astype(complex)
+        return np.broadcast_to(b, shape).copy()
     if rt.kind.startswith("biunitary_"):
-        if zq is None or zp is None:
-            raise ValueError(
-                "biunitary rung needs GreenResult inputs (radius-dependent)")
-        s, t = _s_t_functions(rt, abs(zq), abs(zp))
-        b = np.zeros((4, 4), dtype=complex)
-        b[1, 1] = s           # B^{11}_{bb}
-        b[2, 2] = s           # B^{bb}_{11}
-        b[1, 2] = qq[0, 1] * qp[0, 1] * t   # B^{1b}_{b1}
-        b[2, 1] = qq[1, 0] * qp[1, 0] * t   # B^{b1}_{1b}
+        b = np.zeros(shape, dtype=complex)
+        b[..., 1:3, 1:3] = _ring_block(rt, gq, gp)[0]
         return b
     if rt.kind == "quantum_scattering":
         g_small = np.diag([1j * rt.gamma, -1j * rt.gamma])
         ainv = np.linalg.inv(np.linalg.inv(g_small) - qq)
-        cinv = np.linalg.inv(np.linalg.inv(g_small) - qp.T)
-        return np.eye(4, dtype=complex) + rt.m * np.kron(ainv, cinv)
+        cinv = np.linalg.inv(np.linalg.inv(g_small) - np.swapaxes(qp, -1, -2))
+        return np.eye(4, dtype=complex) + rt.m * _kron(ainv, cinv)
     raise ValueError(f"no rung construction for kind {rt.kind!r}")
 
 
@@ -335,34 +373,57 @@ def quantum_scattering_rung_series(rt, gq, gp):
     return b
 
 
+def _kron(a, b):
+    """Kronecker product of two (stacks of) 2x2 matrices."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (4, 4))
+
+
+def _free_ladder(gq, gp):
+    """Free ladder G_Q (x) G_P^T, single or stacked."""
+    return _kron(_green_parts(gq)[0], np.swapaxes(_green_parts(gp)[0], -1, -2))
+
+
 def solve_bethe_salpeter(gq, gp, b):
     """Resummed ladder K = (1 - (G_Q (x) G_P^T) B)^{-1} (G_Q (x) G_P^T).
 
-    Returns ``(k, pole_flag)``; the flag marks a (near-)singular system,
-    which is the physical pole at coincident arguments rather than a
-    numerical failure.
+    Takes Green's functions as for :func:`build_rung` (or bare arrays)
+    and the rung, single or stacked.  Returns ``(k, pole_flag)``; the
+    flag, one per matrix, marks a (near-)singular system, which is the
+    physical pole at coincident arguments rather than a numerical failure.
     """
-    free = np.kron(gq, np.transpose(gp))
+    free = _free_ladder(gq, gp)
     system = np.eye(4, dtype=complex) - free @ b
     pole = np.linalg.cond(system) > 1e12
-    k = np.linalg.solve(system, free)
-    return k, pole
+    return np.linalg.solve(system, free), pole
 
 
-def k_eigenvector_component(rt, z1, z2):
-    """K^{11}_{bb}(z1, z2): the regularized product of resolvents."""
-    g1 = solve_green(rt, z1)
-    g2 = solve_green(rt, z2)
-    b = build_rung(rt, g1, g2)
-    k, _ = solve_bethe_salpeter(g1.g, g2.g, b)
-    return k[1, 1]
+def _ring_ladder(rt, gq, gp):
+    """Bethe-Salpeter ladder K of a single ring, resummed in closed form.
+
+    Only the rung block R of :func:`_ring_block` is nonzero, so K = F +
+    F_{:P} G F_{P:} with F the free ladder, P the (1b, b1) indices and
+    G = (R - det R adj F_PP)/(1 - tr(R F_PP) + det R det F_PP).  Where R
+    diverges (x1 = x2 at r1 != r2) the 4x4 solve of
+    :func:`solve_bethe_salpeter` loses about eps/|x1 - x2|; G stays exact.
+    """
+    r, det = _ring_block(rt, gq, gp)
+    free = _free_ladder(gq, gp)
+    fpp = free[..., 1:3, 1:3]
+    adj = fpp[..., ::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    tr = np.einsum("...ij,...ji->...", r, fpp)
+    den = 1.0 - tr + det * np.linalg.det(fpp)
+    g = (r - det[..., None, None] * adj) / den[..., None, None]
+    return free + free[..., :, 1:3] @ g @ free[..., 1:3, :]
 
 
 def o2_from_k(rt, z1, z2):
     """Two-point eigenvector function via the Bethe-Salpeter pipeline.
 
-    (1/pi^2) d/dzbar1 d/dz2 of K^{11}_{bb}, with the full
-    green -> rung -> ladder pipeline re-solved at every stencil point.
+    (1/pi^2) d/dzbar1 d/dz2 of K^{11}_{bb}.  The Green's function is
+    solved once at each of the 16 distinct points of the h and h/2
+    stencils, and the 32 rungs and ladders of the stencil pairs are
+    built as one stack (for a single ring by :func:`_ring_ladder`).
     A point within 4h of the origin where O_1 diverges (product_ginibre;
     O_1 is finite at every r > 0) raises ValueError.
     """
@@ -374,8 +435,15 @@ def o2_from_k(rt, z1, z2):
             and min(abs(z1), abs(z2)) < 4.0 * STENCIL_H
             and math.isinf(o1_biunitary(rt.fspec, 0.0))):
         raise ValueError("point within 4h of the origin, where O_1 diverges")
-    d = wirtinger_mixed_derivative(
-        lambda w1, w2: k_eigenvector_component(rt, w1, w2), z1, z2)
+    pairs = stencil_pairs(z1, z2)
+    green = {w: solve_green(rt, w)
+             for w in dict.fromkeys(w for pair in pairs for w in pair)}
+    q1 = [green[w1] for w1, _ in pairs]
+    q2 = [green[w2] for _, w2 in pairs]
+    k = (_ring_ladder(rt, q1, q2) if rt.kind.startswith("biunitary_")
+         else solve_bethe_salpeter(q1, q2, build_rung(rt, q1, q2))[0])
+    k11 = dict(zip(pairs, k[:, 1, 1]))
+    d = wirtinger_mixed_derivative(lambda w1, w2: k11[w1, w2], z1, z2)
     return d / math.pi ** 2
 
 
@@ -383,6 +451,15 @@ def _pt_rung(a, b):
     """B^{11}_{bb} at Q = diag(a, b): the pseudohermitian product's only
     two-point data (it has no 4x4 rung, which :func:`build_rung` refuses)."""
     return (-3.0 + a + b + a * b) ** 2 / ((1.0 - a) ** 2 * (1.0 - b) ** 2)
+
+
+def _diagonal_ladder(g1, g2, b):
+    """K^{11}_{bb} = g1 g2/(1 - g1 g2 B^{11}_{bb}) where G and the rung
+    are diagonal (outside the spectrum)."""
+    den = 1.0 - g1 * g2 * b
+    if np.any(np.abs(den) < 1e-13):
+        raise ZeroDivisionError("pole of the two-point resolvent product")
+    return g1 * g2 / den
 
 
 def h_holomorphic(rt, z1, z2bar):
@@ -402,10 +479,7 @@ def h_holomorphic(rt, z1, z2bar):
     g1, g2 = q1.g[0, 0], q2.g[1, 1]
     b = (_pt_rung(g1, g2) if rt.kind == "pseudo_hermitian_product"
          else build_rung(rt, q1, q2)[1, 1])
-    den = 1.0 - g1 * g2 * b
-    if abs(den) < 1e-13:
-        raise ZeroDivisionError("pole of the two-point resolvent product")
-    return g1 * g2 / den
+    return _diagonal_ladder(g1, g2, b)
 
 
 def _neville_to_zero(eps, vals):
@@ -421,21 +495,27 @@ def _neville_to_zero(eps, vals):
 
 
 def o2_real_spectrum(rt, x, y):
-    """Two-point eigenvector function on a real spectrum.
+    """Two-point eigenvector function on the pseudohermitian product's
+    real spectrum.
 
     Boundary-value combination of the holomorphic traced resolvent
     product, -(1/4pi^2)[h(+,+) - h(+,-) - h(-,+) + h(-,-)], extrapolated
-    to eps -> 0 over ``EPS_LADDER``.  The result must come out real.
+    to eps -> 0 over ``EPS_LADDER``; g is tracked at the 12 points
+    x +- i eps, y +- i eps in one call.  The result must come out real.
     """
+    if rt.kind != "pseudo_hermitian_product":
+        raise ValueError("o2_real_spectrum needs the pseudohermitian product")
     x = float(x)
     y = float(y)
-    vals = []
-    for eps in EPS_LADDER:
-        hpp = h_holomorphic(rt, x + 1j * eps, y + 1j * eps)
-        hpm = h_holomorphic(rt, x + 1j * eps, y - 1j * eps)
-        hmp = h_holomorphic(rt, x - 1j * eps, y + 1j * eps)
-        hmm = h_holomorphic(rt, x - 1j * eps, y - 1j * eps)
-        vals.append(-(hpp - hpm - hmp + hmm) / (4.0 * math.pi ** 2))
+    eps = np.array(EPS_LADDER)
+    g = _track_cubic_roots(_pt_cubic_coeffs, np.concatenate(
+        [x + 1j * eps, x - 1j * eps, y - 1j * eps, y + 1j * eps]))
+    # h(z1, zbar2) at z1 = x +- i eps and zbar2 = y +- i eps takes
+    # g1 = g(z1) and g2 = conj g(y -+ i eps)
+    gx, gy = g.reshape(2, 2, -1)
+    g1, g2 = gx[:, None], np.conj(gy)[None, :]
+    h = _diagonal_ladder(g1, g2, _pt_rung(g1, g2))
+    vals = -(h[0, 0] - h[0, 1] - h[1, 0] + h[1, 1]) / (4.0 * math.pi ** 2)
     out = _neville_to_zero(EPS_LADDER, vals)
     if abs(out.imag) > IMAG_TOL * max(1.0, abs(out.real)):
         raise ArithmeticError(
@@ -446,13 +526,13 @@ def o2_real_spectrum(rt, x, y):
 def wheel_generating_function(gq, gp, b):
     """Wheel (double-trace) generating function -log det[1 - (G(x)G^T)B].
 
+    Takes single matrices or stacks, as :func:`solve_bethe_salpeter`.
     Principal branch; series extraction should stay in the region where
     the determinant does not wind around zero.
     """
-    free = np.kron(gq, np.transpose(gp))
-    arg = np.eye(4, dtype=complex) - free @ b
+    arg = np.eye(4, dtype=complex) - _free_ladder(gq, gp) @ b
     sign, logabs = np.linalg.slogdet(arg)
-    if sign == 0:
+    if np.any(sign == 0):
         raise ZeroDivisionError("determinant vanished in wheel function")
     return -(logabs + np.log(sign))
 
@@ -461,8 +541,7 @@ def wheel_from_points(rt, z1, z2):
     """Wheel generating function at two spectral points."""
     g1 = solve_green(rt, z1)
     g2 = solve_green(rt, z2)
-    b = build_rung(rt, g1, g2)
-    return wheel_generating_function(g1.g, g2.g, b)
+    return wheel_generating_function(g1, g2, build_rung(rt, g1, g2))
 
 
 def wheel_word_covariance(rt, p, q):
@@ -472,16 +551,18 @@ def wheel_word_covariance(rt, p, q):
     ``sum_{p,q} cov(Tr X^p, Tr X+^q)/(p q) z1^{-p} zbar2^{-q}`` far
     outside the spectrum; the coefficient is extracted by a double
     Fourier transform over the circles ``z1 = R e^{i theta}``,
-    ``zbar2 = R e^{i phi}``.
+    ``zbar2 = R e^{i phi}``.  G is solved once at each circle point, and
+    the rungs and ladders of all point pairs form one stack.  A circle
+    that crosses the spectrum (quantum_scattering at the default radius)
+    raises ValueError.
     """
     thetas = 2.0 * math.pi * np.arange(WHEEL_N_THETA) / WHEEL_N_THETA
     circle = [solve_green(rt, WHEEL_RADIUS * np.exp(1j * th)) for th in thetas]
     # zbar2 = R e^{i phi_k}, so z2 = R e^{-i phi_k} is circle point -k
-    mirror = [circle[-k] for k in range(WHEEL_N_THETA)]
-    vals = np.array([[wheel_generating_function(a.g, b.g,
-                                                build_rung(rt, a, b))
-                      for b in mirror] for a in circle])
+    rows = [a for a in circle for _ in circle]
+    cols = [circle[-k] for k in range(WHEEL_N_THETA)] * WHEEL_N_THETA
+    vals = wheel_generating_function(rows, cols, build_rung(rt, rows, cols))
     # coefficient of e^{-i p theta} e^{-i q phi}
     phase = np.exp(1j * (p * thetas[:, None] + q * thetas[None, :]))
-    coeff = np.sum(vals * phase) / WHEEL_N_THETA ** 2
+    coeff = np.sum(vals.reshape(phase.shape) * phase) / WHEEL_N_THETA ** 2
     return coeff * p * q * WHEEL_RADIUS ** (p + q)

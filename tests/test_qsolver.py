@@ -8,6 +8,7 @@ import pytest
 
 from overlap_lab import analytic, estimators, qsolver
 from overlap_lab.ensembles import EnsembleSpec, sample_many
+from overlap_lab.numcore import stencil_pairs
 
 
 class TestEllipticGreen:
@@ -123,6 +124,69 @@ class TestScalarGreens:
         assert abs(g + 1.0 / g + m * ig / (1.0 - ig * g) - z) < 1e-10 * abs(z)
 
 
+def serial_track(coeff_func, z_target, steps=160, far=60.0):
+    """The np.roots homotopy one step at a time: the tracker's reference."""
+    s = 1.0 if z_target.imag >= 0 else -1.0
+    z0 = complex(z_target.real, s * far)
+    g = 1.0 / z0
+    for t in np.linspace(0.0, 1.0, steps)[1:]:
+        z = z0 + t * (z_target - z0)
+        roots = np.roots(coeff_func(z))
+        g = roots[np.argmin(np.abs(roots - g))]
+    return g
+
+
+QS_PAIR = (-1.137 - 0.201j, -1.121 - 0.502j)
+
+
+class TestStackedTracker:
+    def assert_matches_serial(self, coeff_func, targets):
+        got = qsolver._track_cubic_roots(coeff_func, targets)
+        ref = [serial_track(coeff_func, complex(z)) for z in targets]
+        assert np.array_equal(got, ref)
+
+    def test_eps_ladder_targets(self):
+        x, y = 1.475, 4.0
+        eps = np.array(qsolver.EPS_LADDER)
+        self.assert_matches_serial(qsolver._pt_cubic_coeffs, np.concatenate(
+            [x + 1j * eps, x - 1j * eps, y + 1j * eps, y - 1j * eps]))
+
+    def test_quantum_scattering_stencil(self):
+        points = list(dict.fromkeys(w for pair in stencil_pairs(*QS_PAIR)
+                                    for w in pair))
+        assert len(points) == 16
+        self.assert_matches_serial(qsolver._qs_cubic_coeffs(1.5, 0.8), points)
+
+    @pytest.mark.parametrize("x", [0.5, 2.0, 8.0])
+    def test_on_axis_substitution(self, x):
+        ref = serial_track(qsolver._pt_cubic_coeffs, complex(x, 1e-12))
+        assert qsolver.pt_green_scalar(x) == ref
+        self.assert_matches_serial(qsolver._pt_cubic_coeffs,
+                                   [complex(x, 1e-12), x + 1e-3j])
+
+
+class TestQuantumScatteringSupport:
+    RT = qsolver.quantum_scattering_rt(m=1.5, gamma=0.8)
+
+    @pytest.mark.parametrize("z", [1j, 0.5 + 0.5j, 1.8j, 3.3j])
+    def test_inside_raises(self, z):
+        # 1 - |g|^2 B^{11}_{bb}(z, zbar) <= 0 here (3.06 at 1j, 1.76 at
+        # 3.3j; Monte Carlo top edge 3.29-3.46): once tagged holomorphic
+        with pytest.raises(ValueError, match="inside the spectrum"):
+            qsolver.solve_green(self.RT, z)
+        with pytest.raises(ValueError):
+            qsolver.h_holomorphic(self.RT, z, np.conj(z))
+
+    @pytest.mark.parametrize("z", list(QS_PAIR) + [5.0, 4.0 + 3.0j, 1.0 - 3.0j,
+                                                   -0.5j, 3.5j])
+    def test_outside_is_holomorphic(self, z):
+        assert qsolver.solve_green(self.RT, z).branch == "holomorphic"
+
+    def test_wheel_circle_crosses_spectrum(self):
+        with pytest.raises(ValueError, match="inside the spectrum"):
+            qsolver.wheel_word_covariance(self.RT, 1, 1)
+
+
 class TestPipeline:
     @pytest.mark.parametrize("kind,kwargs", [
         ("ginibre", {}),
@@ -174,10 +238,67 @@ class TestPipeline:
         _, pole = qsolver.solve_bethe_salpeter(g1.g, g2.g, b)
         assert pole
 
+    @pytest.mark.parametrize("rt,z1,z2", [
+        (qsolver.biunitary_rt("ginibre"), 0.5 + 0.2j, -0.3 + 0.4j),
+        (qsolver.elliptic_rt(1.0, 0.5), 0.3 + 0.2j, -0.5 + 0.1j),
+        (qsolver.quantum_scattering_rt(m=1.5, gamma=0.8), *QS_PAIR),
+    ], ids=["ginibre", "elliptic", "quantum_scattering"])
+    def test_stencil_points_solved_once(self, monkeypatch, rt, z1, z2):
+        # the h and h/2 stencils share 16 points among their 32 pairs
+        calls = []
+        solve = qsolver.solve_green
+        monkeypatch.setattr(qsolver, "solve_green",
+                            lambda rt, z: calls.append(z) or solve(rt, z))
+        qsolver.o2_from_k(rt, z1, z2)
+        assert len(calls) == len(set(calls)) == 16
+
+    @pytest.mark.parametrize("rt,z1,z2", [
+        (qsolver.biunitary_rt("induced_ginibre", alpha=0.5), 0.9, 1.1j),
+        (qsolver.elliptic_rt(1.0, 0.5), 0.3 + 0.2j, 2.0),
+        (qsolver.quantum_scattering_rt(m=1.5, gamma=0.8), *QS_PAIR),
+    ], ids=["induced_ginibre", "elliptic", "quantum_scattering"])
+    def test_stacks_match_single_matrices(self, rt, z1, z2):
+        q1 = [qsolver.solve_green(rt, w) for w, _ in stencil_pairs(z1, z2)]
+        q2 = [qsolver.solve_green(rt, w) for _, w in stencil_pairs(z1, z2)]
+        b = qsolver.build_rung(rt, q1, q2)
+        k, pole = qsolver.solve_bethe_salpeter(q1, q2, b)
+        wheel = qsolver.wheel_generating_function(q1, q2, b)
+        for i, (a, c) in enumerate(zip(q1, q2)):
+            bi = qsolver.build_rung(rt, a, c)
+            ki, pi = qsolver.solve_bethe_salpeter(a.g, c.g, bi)
+            assert np.array_equal(b[i], bi) and np.array_equal(k[i], ki)
+            assert pole[i] == pi
+            assert wheel[i] == qsolver.wheel_generating_function(a.g, c.g, bi)
+
+    def test_equal_o1_at_distinct_radii(self):
+        # O_1(0.9227) = O_1(0.9381) for induced_ginibre alpha=0.5: the
+        # rung grows like 1/(x1 - x2) there, and the 4x4 ladder solve gave
+        # 1.0e-4 relative error (closed form -0.131124559+8.7e-5i)
+        rt = qsolver.biunitary_rt("induced_ginibre", alpha=0.5)
+        z1, z2 = -0.06342816491394528 + 0.920540934630426j, \
+            -0.8718494645803783 + 0.34615481444249896j
+        ref = analytic.o2_biunitary_closed_form("induced_ginibre", z1, z2,
+                                                alpha=0.5)
+        assert qsolver.o2_from_k(rt, z1, z2) == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize("kind,kwargs", [
+        ("ginibre", {}), ("induced_ginibre", {"alpha": 0.5}),
+        ("truncated_unitary", {"kappa": 1.0}), ("spherical", {}),
+        ("product_ginibre", {})])
+    def test_ring_ladder_is_bethe_salpeter_solve(self, kind, kwargs):
+        rt = qsolver.biunitary_rt(kind, **kwargs)
+        pairs = stencil_pairs(0.9 * np.exp(0.4j), 1.1 * np.exp(2.0j))
+        q1 = [qsolver.solve_green(rt, w) for w, _ in pairs]
+        q2 = [qsolver.solve_green(rt, w) for _, w in pairs]
+        k, _ = qsolver.solve_bethe_salpeter(q1, q2,
+                                            qsolver.build_rung(rt, q1, q2))
+        got = qsolver._ring_ladder(rt, q1, q2)
+        assert np.max(np.abs(got - k)) < 1e-13 * np.max(np.abs(k))
+
     def test_quantum_scattering_vanishes_outside(self):
         # below the real axis O2 = 0; the wrong cubic gave 1.7e-4 here
         rt = qsolver.quantum_scattering_rt(m=1.5, gamma=0.8)
-        got = qsolver.o2_from_k(rt, -1.137 - 0.201j, -1.121 - 0.502j)
+        got = qsolver.o2_from_k(rt, *QS_PAIR)
         assert abs(got) < 1e-9
 
     def test_hole_point_vanishes(self):
@@ -246,7 +367,7 @@ class TestSingleRingData:
     def test_exterior_slope(self, kind):
         rt = qsolver.biunitary_rt(kind, alpha=ALPHA, kappa=KAPPA)
         r_out = rt.fspec.r_out
-        s, t = qsolver._s_t_functions(rt, 1.5 * r_out, 2.0 * r_out)
+        s, t, _ = qsolver._s_t_functions(rt, 1.5 * r_out, 2.0 * r_out)
         assert s == pytest.approx(r_out ** 2, rel=1e-14)
         assert t == pytest.approx(CLOSED_FORM_A[kind][1], rel=1e-14, abs=1e-15)
 
@@ -364,6 +485,15 @@ class TestRealSpectrumO2:
         assert far < near
 
 
+    def test_eps_ladder_tracked_once(self, monkeypatch):
+        calls = []
+        track = qsolver._track_cubic_roots
+        monkeypatch.setattr(qsolver, "_track_cubic_roots",
+                            lambda f, t: calls.append(len(t)) or track(f, t))
+        qsolver.o2_real_spectrum(qsolver.pseudo_hermitian_rt(), 1.475, 4.0)
+        assert calls == [4 * len(qsolver.EPS_LADDER)]
+
+
 class TestWheel:
     def test_ginibre_word_covariances(self):
         rt = qsolver.biunitary_rt("ginibre")
@@ -381,6 +511,14 @@ class TestWheel:
                             lambda rt, z: calls.append(z) or solve(rt, z))
         qsolver.wheel_word_covariance(qsolver.biunitary_rt("ginibre"), 1, 1)
         assert len(calls) == qsolver.WHEEL_N_THETA
+
+    def test_one_determinant_call(self, monkeypatch):
+        calls = []
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet",
+                            lambda a: calls.append(a.shape) or slogdet(a))
+        qsolver.wheel_word_covariance(qsolver.biunitary_rt("ginibre"), 1, 1)
+        assert calls == [(qsolver.WHEEL_N_THETA ** 2, 4, 4)]
 
     def test_wheel_vanishes_far_outside(self):
         rt = qsolver.biunitary_rt("ginibre")
