@@ -262,13 +262,11 @@ def cmd_qsolve(args):
     elif args.what == "k":
         g1 = qsolver.solve_green(rt, args.z1)
         g2 = qsolver.solve_green(rt, args.z2)
-        b = qsolver.build_rung(rt, g1, g2)
-        k, pole = qsolver.solve_bethe_salpeter(g1.g, g2.g, b)
+        k, pole = qsolver.ladder(rt, g1, g2)
         print(f"pole,{pole}")
-        for i in range(4):
-            print(",".join(repr(v) for v in
-                           np.concatenate([[k[i, j].real, k[i, j].imag]
-                                           for j in range(4)])))
+        for row in k:
+            print(",".join(repr(float(v))
+                           for z in row for v in (z.real, z.imag)))
     elif args.what == "o2":
         if (args.model == "pseudo_hermitian_product"
                 and args.z1.imag == 0 and args.z2.imag == 0):

@@ -34,6 +34,7 @@ __all__ = [
     "o1_from_green",
     "build_rung",
     "solve_bethe_salpeter",
+    "ladder",
     "o2_from_k",
     "h_holomorphic",
     "o2_real_spectrum",
@@ -145,6 +146,11 @@ def _pt_cubic_coeffs(z):
 PT_EDGE = 0.5 * (11.0 + 5.0 * math.sqrt(5.0))
 
 
+def _pt_on_axis(z):
+    """Whether z is on the pseudohermitian product's spectrum (0, PT_EDGE)."""
+    return (np.imag(z) == 0.0) & (0.0 < np.real(z)) & (np.real(z) < PT_EDGE)
+
+
 def pt_green_scalar(z):
     """Holomorphic Green's function of the pseudohermitian product.
 
@@ -153,17 +159,24 @@ def pt_green_scalar(z):
     boundary value g(x + i0) is returned.  The exceptional point x = 0
     is excluded (no controlled formula exists there).
     """
-    z = complex(z)
-    if abs(z) < 1e-8:
+    return _pt_green(complex(z))[()]
+
+
+def _pt_green(z):
+    """:func:`pt_green_scalar` at an array of points, tracked in one call."""
+    z = np.asarray(z, dtype=complex)
+    if np.any(np.abs(z) < 1e-8):
         raise ValueError("exceptional point x=0: Green's function diagnostic")
-    if z.imag == 0.0 and 0.0 < z.real < PT_EDGE:
-        z = complex(z.real, 1e-12)
-    return _track_cubic_roots(_pt_cubic_coeffs, [z])[0]
+    z = np.where(_pt_on_axis(z), z.real + 1e-12j, z)
+    return _track_cubic_roots(_pt_cubic_coeffs, z.ravel()).reshape(z.shape)
 
 
 def _qs_cubic_coeffs(m, gamma):
     # (g^2 + 1 - z g)(1 - ig g) + ig m g = 0, ig = i gamma:
     # -ig g^3 + (1 + ig z) g^2 + (ig m - z - ig) g + 1 = 0
+    if gamma == 0:
+        raise ValueError("quantum_scattering needs gamma != 0: at gamma = 0 "
+                         "the cubic degenerates and the rung is singular")
     ig = 1j * gamma
     return lambda z: [-ig, 1.0 + ig * z, ig * m - z - ig, 1.0]
 
@@ -210,9 +223,8 @@ def solve_green(rt, z):
             return GreenResult(_quaternion(g, off), "nonholomorphic", z)
         return GreenResult(_quaternion(g), "holomorphic", z)
     if rt.kind == "pseudo_hermitian_product":
-        on_axis = z.imag == 0.0 and 0.0 < z.real < PT_EDGE
-        return GreenResult(_quaternion(pt_green_scalar(z)),
-                           "nonholomorphic" if on_axis else "holomorphic", z)
+        return GreenResult(_quaternion(pt_green_scalar(z)), "nonholomorphic"
+                           if _pt_on_axis(z) else "holomorphic", z)
     if rt.kind == "quantum_scattering":
         g = qs_green_scalar(z, rt.m, rt.gamma)
         # 1 - |g|^2 B^{11}_{bb}(z, zbar) <= 0, the ladder's pole: inside
@@ -398,15 +410,20 @@ def solve_bethe_salpeter(gq, gp, b):
     return np.linalg.solve(system, free), pole
 
 
-def _ring_ladder(rt, gq, gp):
-    """Bethe-Salpeter ladder K of a single ring, resummed in closed form.
+def ladder(rt, gq, gp):
+    """Resummed ladder and pole flag ``(k, pole)`` of the rung of ``rt``.
 
-    Only the rung block R of :func:`_ring_block` is nonzero, so K = F +
-    F_{:P} G F_{P:} with F the free ladder, P the (1b, b1) indices and
-    G = (R - det R adj F_PP)/(1 - tr(R F_PP) + det R det F_PP).  Where R
-    diverges (x1 = x2 at r1 != r2) the 4x4 solve of
-    :func:`solve_bethe_salpeter` loses about eps/|x1 - x2|; G stays exact.
+    Takes Green's functions as :func:`build_rung` does, single or
+    stacked.  Every kind but a single ring goes through
+    :func:`solve_bethe_salpeter`.  A single ring's rung is nonzero only on
+    the block R of :func:`_ring_block`, at the (1b, b1) indices P, so K =
+    F + F_{:P} G F_{P:} with F the free ladder and G = (R - det R
+    adj F_PP)/(1 - tr(R F_PP) + det R det F_PP), in closed form: where R
+    diverges (x1 = x2 at r1 != r2, around a hole) a 4x4 solve loses about
+    eps/|x1 - x2|.  The flag then marks a near-singular 1 - R F_PP.
     """
+    if not rt.kind.startswith("biunitary_"):
+        return solve_bethe_salpeter(gq, gp, build_rung(rt, gq, gp))
     r, det = _ring_block(rt, gq, gp)
     free = _free_ladder(gq, gp)
     fpp = free[..., 1:3, 1:3]
@@ -414,7 +431,8 @@ def _ring_ladder(rt, gq, gp):
     tr = np.einsum("...ij,...ji->...", r, fpp)
     den = 1.0 - tr + det * np.linalg.det(fpp)
     g = (r - det[..., None, None] * adj) / den[..., None, None]
-    return free + free[..., :, 1:3] @ g @ free[..., 1:3, :]
+    pole = np.linalg.cond(np.eye(2) - r @ fpp) > 1e12
+    return free + free[..., :, 1:3] @ g @ free[..., 1:3, :], pole
 
 
 def o2_from_k(rt, z1, z2):
@@ -422,8 +440,8 @@ def o2_from_k(rt, z1, z2):
 
     (1/pi^2) d/dzbar1 d/dz2 of K^{11}_{bb}.  The Green's function is
     solved once at each of the 16 distinct points of the h and h/2
-    stencils, and the 32 rungs and ladders of the stencil pairs are
-    built as one stack (for a single ring by :func:`_ring_ladder`).
+    stencils, and the 32 ladders of the stencil pairs are resummed as one
+    stack by :func:`ladder`.
     A point within 4h of the origin where O_1 diverges (product_ginibre;
     O_1 is finite at every r > 0) raises ValueError.
     """
@@ -438,28 +456,11 @@ def o2_from_k(rt, z1, z2):
     pairs = stencil_pairs(z1, z2)
     green = {w: solve_green(rt, w)
              for w in dict.fromkeys(w for pair in pairs for w in pair)}
-    q1 = [green[w1] for w1, _ in pairs]
-    q2 = [green[w2] for _, w2 in pairs]
-    k = (_ring_ladder(rt, q1, q2) if rt.kind.startswith("biunitary_")
-         else solve_bethe_salpeter(q1, q2, build_rung(rt, q1, q2))[0])
+    q1, q2 = ([green[w] for w in ws] for ws in zip(*pairs))
+    k, _ = ladder(rt, q1, q2)
     k11 = dict(zip(pairs, k[:, 1, 1]))
     d = wirtinger_mixed_derivative(lambda w1, w2: k11[w1, w2], z1, z2)
     return d / math.pi ** 2
-
-
-def _pt_rung(a, b):
-    """B^{11}_{bb} at Q = diag(a, b): the pseudohermitian product's only
-    two-point data (it has no 4x4 rung, which :func:`build_rung` refuses)."""
-    return (-3.0 + a + b + a * b) ** 2 / ((1.0 - a) ** 2 * (1.0 - b) ** 2)
-
-
-def _diagonal_ladder(g1, g2, b):
-    """K^{11}_{bb} = g1 g2/(1 - g1 g2 B^{11}_{bb}) where G and the rung
-    are diagonal (outside the spectrum)."""
-    den = 1.0 - g1 * g2 * b
-    if np.any(np.abs(den) < 1e-13):
-        raise ZeroDivisionError("pole of the two-point resolvent product")
-    return g1 * g2 / den
 
 
 def h_holomorphic(rt, z1, z2bar):
@@ -470,16 +471,35 @@ def h_holomorphic(rt, z1, z2bar):
     K^{11}_{bb} reduces to g1 g2 / (1 - g1 g2 B^{11}_{bb}) with g1 =
     g(z1) and g2 = conj g(z2), the resolvent of X+ at zbar2.  A point
     inside the spectrum or a single-ring hole (G = 0) raises ValueError.
+    ``z1`` and ``z2bar`` may be arrays, broadcast against each other; the
+    pseudohermitian product's g is tracked at all their points in one call.
     """
-    q1 = solve_green(rt, z1)
-    q2 = solve_green(rt, np.conj(z2bar))
-    if any(q.branch != "holomorphic" or not q.g.any() for q in (q1, q2)):
+    pt = rt.kind == "pseudo_hermitian_product"
+    if pt:
+        z1, z2 = np.asarray(z1, dtype=complex), np.conj(z2bar)
+        z = np.concatenate([z1.ravel(), np.ravel(z2)])
+        inside, g = np.any(_pt_on_axis(z)), _pt_green(z)
+        g1 = g[:z1.size].reshape(z1.shape)
+        g2 = np.conj(g[z1.size:]).reshape(np.shape(z2))
+    elif np.ndim(z1) or np.ndim(z2bar):
+        return np.vectorize(lambda a, b: h_holomorphic(rt, a, b))(z1, z2bar)
+    else:
+        q1 = solve_green(rt, z1)
+        q2 = solve_green(rt, np.conj(z2bar))
+        inside = any(q.branch != "holomorphic" or not q.g.any()
+                     for q in (q1, q2))
+        g1, g2 = q1.g[0, 0], q2.g[1, 1]
+    if inside:
         raise ValueError("h_holomorphic needs both points outside the "
                          "spectrum and any hole")
-    g1, g2 = q1.g[0, 0], q2.g[1, 1]
-    b = (_pt_rung(g1, g2) if rt.kind == "pseudo_hermitian_product"
-         else build_rung(rt, q1, q2)[1, 1])
-    return _diagonal_ladder(g1, g2, b)
+    # B^{11}_{bb}; the pseudohermitian product has no 4x4 rung to take it
+    # from (build_rung refuses it), so its one component is written out
+    b = ((-3.0 + g1 + g2 + g1 * g2) ** 2 / ((1.0 - g1) ** 2 * (1.0 - g2) ** 2)
+         if pt else build_rung(rt, q1, q2)[1, 1])
+    den = 1.0 - g1 * g2 * b
+    if np.any(np.abs(den) < 1e-13):
+        raise ZeroDivisionError("pole of the two-point resolvent product")
+    return g1 * g2 / den
 
 
 def _neville_to_zero(eps, vals):
@@ -495,26 +515,19 @@ def _neville_to_zero(eps, vals):
 
 
 def o2_real_spectrum(rt, x, y):
-    """Two-point eigenvector function on the pseudohermitian product's
-    real spectrum.
+    """Two-point eigenvector function on a real spectrum.
 
     Boundary-value combination of the holomorphic traced resolvent
     product, -(1/4pi^2)[h(+,+) - h(+,-) - h(-,+) + h(-,-)], extrapolated
-    to eps -> 0 over ``EPS_LADDER``; g is tracked at the 12 points
-    x +- i eps, y +- i eps in one call.  The result must come out real.
+    to eps -> 0 over ``EPS_LADDER``.  One :func:`h_holomorphic` call
+    covers the whole grid (for the pseudohermitian product, one track of
+    the 12 points x +- i eps, y +- i eps).  The result must come out real.
     """
-    if rt.kind != "pseudo_hermitian_product":
-        raise ValueError("o2_real_spectrum needs the pseudohermitian product")
     x = float(x)
     y = float(y)
-    eps = np.array(EPS_LADDER)
-    g = _track_cubic_roots(_pt_cubic_coeffs, np.concatenate(
-        [x + 1j * eps, x - 1j * eps, y - 1j * eps, y + 1j * eps]))
-    # h(z1, zbar2) at z1 = x +- i eps and zbar2 = y +- i eps takes
-    # g1 = g(z1) and g2 = conj g(y -+ i eps)
-    gx, gy = g.reshape(2, 2, -1)
-    g1, g2 = gx[:, None], np.conj(gy)[None, :]
-    h = _diagonal_ladder(g1, g2, _pt_rung(g1, g2))
+    pm = 1j * np.array([[1.0], [-1.0]]) * EPS_LADDER
+    # rows z1 = x +- i eps, columns zbar2 = y +- i eps, last axis eps
+    h = h_holomorphic(rt, x + pm[:, None], y + pm)
     vals = -(h[0, 0] - h[0, 1] - h[1, 0] + h[1, 1]) / (4.0 * math.pi ** 2)
     out = _neville_to_zero(EPS_LADDER, vals)
     if abs(out.imag) > IMAG_TOL * max(1.0, abs(out.real)):

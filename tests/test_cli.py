@@ -339,6 +339,23 @@ class TestAnalyticQsolve:
                                                 -0.2 + 0.4j)
         assert complex(float(re), float(im)) == pytest.approx(ref, rel=1e-4)
 
+    def test_qsolve_k_is_ladder(self, capsys):
+        # the single-ring closed form, near two radii of equal O_1 where
+        # the rung grows to |T| ~ 3e3; entries printed as plain floats
+        from overlap_lab import qsolver
+        z1, z2 = -0.0634 + 0.9205j, -0.8718 + 0.3462j
+        assert main(["qsolve", "k", "--model", "induced_ginibre",
+                     "--alpha", "0.5", "--z1=-0.0634,0.9205",
+                     "--z2=-0.8718,0.3462"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        rt = qsolver.biunitary_rt("induced_ginibre", alpha=0.5)
+        k, pole = qsolver.ladder(rt, qsolver.solve_green(rt, z1),
+                                 qsolver.solve_green(rt, z2))
+        assert out[0] == f"pole,{pole}"
+        vals = np.array([[float(v) for v in line.split(",")]
+                         for line in out[1:]])
+        assert np.array_equal(vals[:, 0::2] + 1j * vals[:, 1::2], k)
+
 
 class TestCompare:
     def write_table(self, path, values, stderr=0.1):

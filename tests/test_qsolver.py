@@ -186,6 +186,14 @@ class TestQuantumScatteringSupport:
         with pytest.raises(ValueError, match="inside the spectrum"):
             qsolver.wheel_word_covariance(self.RT, 1, 1)
 
+    def test_zero_coupling_raises(self):
+        # gamma = 0 zeroes the cubic's leading coefficient
+        rt = qsolver.quantum_scattering_rt(m=1.5, gamma=0.0)
+        with pytest.raises(ValueError, match="gamma != 0"):
+            qsolver.solve_green(rt, 5.0)
+        with pytest.raises(ValueError, match="gamma != 0"):
+            qsolver.qs_green_scalar(5.0, 1.5, 0.0)
+
 
 class TestPipeline:
     @pytest.mark.parametrize("kind,kwargs", [
@@ -290,10 +298,17 @@ class TestPipeline:
         pairs = stencil_pairs(0.9 * np.exp(0.4j), 1.1 * np.exp(2.0j))
         q1 = [qsolver.solve_green(rt, w) for w, _ in pairs]
         q2 = [qsolver.solve_green(rt, w) for _, w in pairs]
-        k, _ = qsolver.solve_bethe_salpeter(q1, q2,
-                                            qsolver.build_rung(rt, q1, q2))
-        got = qsolver._ring_ladder(rt, q1, q2)
+        k, pole = qsolver.solve_bethe_salpeter(
+            q1, q2, qsolver.build_rung(rt, q1, q2))
+        got, got_pole = qsolver.ladder(rt, q1, q2)
         assert np.max(np.abs(got - k)) < 1e-13 * np.max(np.abs(k))
+        assert not pole.any() and not got_pole.any()
+
+    def test_ring_ladder_pole_flag(self):
+        rt = qsolver.biunitary_rt("ginibre")
+        g1 = qsolver.solve_green(rt, 0.4 + 0.1j)
+        g2 = qsolver.solve_green(rt, 0.4 + 0.1j + 1e-12)
+        assert qsolver.ladder(rt, g1, g2)[1]
 
     def test_quantum_scattering_vanishes_outside(self):
         # below the real axis O2 = 0; the wrong cubic gave 1.7e-4 here
@@ -466,6 +481,24 @@ class TestHolomorphicTwoPoint:
         got = qsolver.h_holomorphic(rt, z, z)
         assert got == pytest.approx(1.0 / (z * z - 1.0), rel=1e-2)
 
+    @pytest.mark.parametrize("rt", [qsolver.pseudo_hermitian_rt(),
+                                    qsolver.elliptic_rt(1.0, 0.5)],
+                             ids=["pt", "elliptic"])
+    def test_arrays_match_points(self, rt):
+        z1 = np.array([[6.0 + 1e-3j], [-1.0 - 2.0j]])
+        z2bar = np.array([7.5 - 0.5j, 3.0 + 4.0j, 2.0 + 2.5e-4j])
+        got = qsolver.h_holomorphic(rt, z1, z2bar)
+        assert got.shape == (2, 3)
+        # equal up to the rounding of array against scalar arithmetic
+        for (i, j), val in np.ndenumerate(got):
+            assert val == pytest.approx(
+                qsolver.h_holomorphic(rt, z1[i, 0], z2bar[j]), rel=1e-14)
+
+    def test_pt_array_inside_raises(self):
+        rt = qsolver.pseudo_hermitian_rt()
+        with pytest.raises(ValueError, match="outside the spectrum"):
+            qsolver.h_holomorphic(rt, np.array([6.0, 3.0]), 7.0)
+
 
 class TestRealSpectrumO2:
     def test_symmetry(self):
@@ -483,7 +516,6 @@ class TestRealSpectrumO2:
         near = abs(qsolver.o2_real_spectrum(rt, 2.0, 2.5))
         far = abs(qsolver.o2_real_spectrum(rt, 2.0, 8.0))
         assert far < near
-
 
     def test_eps_ladder_tracked_once(self, monkeypatch):
         calls = []
