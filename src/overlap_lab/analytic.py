@@ -123,6 +123,10 @@ def _biunitary_bracket(fspec, z1, z2):
     # where O1 itself may diverge (product_ginibre): that product is 0
     o1_1 = o1_biunitary(fspec, r1) if r1 > 0 else 0.0
     o1_2 = o1_biunitary(fspec, r2) if r2 > 0 else 0.0
+    if o1_1 == o1_2 == 0.0:
+        # both points in a hole or outside the support, where the bracket
+        # is 0 although F(r1) - F(r2) may vanish as well
+        return 0.0
     num = (np.conj(z1) * (z1 - z2) * o1_1
            + z2 * (np.conj(z1) - np.conj(z2)) * o1_2)
     den = abs(z1 - z2) ** 2 * (fspec(r1) - fspec(r2))

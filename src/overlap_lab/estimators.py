@@ -2,13 +2,15 @@
 
 All estimators consume an iterable of sample matrices (bare arrays or
 ``(index, matrix, info)`` triples as produced by
-:func:`overlap_lab.ensembles.sample_many`) and pull one sample at a
-time, finishing its work before the next pull.  The eigenvalue-based
+:func:`overlap_lab.ensembles.sample_many`).  The eigenvalue-based
 estimators decompose each sample once through
-:class:`overlap_lab.overlaps.EigenSystems`, which drops and counts
-near-defective draws.  Each estimator maps a sample to a ``(value,
-count)`` contribution, and one batching routine averages the
-contributions over round-robin batches for batch-means error bars.
+:class:`overlap_lab.overlaps.EigenSystems`, which decomposes up to
+``overlaps.WORKERS`` pulled samples at once on a thread pool, returns
+them in pull order, and drops and counts near-defective draws; the
+other estimators pull one sample at a time.  Each estimator maps a
+sample to a ``(value, count)`` contribution, and one batching routine
+averages the contributions over round-robin batches for batch-means
+error bars.
 """
 
 import warnings

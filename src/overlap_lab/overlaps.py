@@ -8,7 +8,13 @@ and serves as the main numerical self-check.
 
 :class:`EigenSystems` is the Monte Carlo loop of the package: the
 estimators and ``overlap-lab sample`` pull their samples through it, so
-a near-defective draw is dropped and counted in one place.
+a near-defective draw is dropped and counted in one place.  It keeps a
+bounded window of ``WORKERS`` decompositions in flight on a thread pool
+(LAPACK runs without the GIL) and hands the results back in pull order;
+decompositions are pure, so the window changes no result.  ``WORKERS``
+is the number of usable cores divided by the BLAS thread count
+(``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else all cores), so
+an unpinned BLAS gets one worker.
 
 The CSV writers take per-sample column blocks (:class:`EigenBlock`,
 :class:`PairBlock`) and format them in one pass.  The layout of
@@ -17,7 +23,10 @@ eigen.csv and pairs.csv is the one ``csv.writer`` gives for row tuples
 those of a per-row writer loop.
 """
 
+import collections
 import csv
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +46,24 @@ __all__ = [
 COND_LIMIT = 1e12  # near-defective bound, also the spherical sampler's
 
 
+def _workers():
+    """Usable cores divided by the BLAS threads each decomposition uses."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    blas = (os.environ.get("OPENBLAS_NUM_THREADS")
+            or os.environ.get("OMP_NUM_THREADS"))
+    try:
+        threads = int(blas)
+    except (TypeError, ValueError):
+        threads = cores
+    return max(1, cores // max(threads, 1))
+
+
+WORKERS = _workers()  # decompositions in flight in one EigenSystems loop
+
+
 class NearDefectiveError(np.linalg.LinAlgError):
     """Eigenvector matrix too ill-conditioned for trustworthy overlaps."""
 
@@ -46,9 +73,11 @@ class EigenSystem:
     """Eigenvalues with biorthogonal right/left eigenvector sets.
 
     ``right[:, k]`` is the k-th right eigenvector (column), ``left[k, :]``
-    the k-th left eigenvector (row).  ``cond`` estimates the condition
-    number of the right-eigenvector matrix and ``residual`` the largest
-    eigenequation residual relative to ``||X||``.
+    the k-th left eigenvector (row).  ``cond`` bounds the 2-norm
+    condition number of the right-eigenvector matrix from above by
+    ``||R||_F ||L||_F``; where that bound exceeds ``COND_LIMIT`` it is
+    the exact 2-norm condition number.  ``residual`` is the largest
+    eigenequation residual relative to the Frobenius norm ``||X||_F``.
     """
 
     eigenvalues: np.ndarray
@@ -66,21 +95,31 @@ def eig_biorthogonal(x):
     """Eigendecompose a complex matrix into a biorthogonal system.
 
     Eigenvalues are sorted lexicographically by (Re, Im) for
-    reproducibility.  A condition estimate of the right-eigenvector
+    reproducibility.  A 2-norm condition number of the right-eigenvector
     matrix above ``COND_LIMIT`` flags the sample as near-defective;
-    callers typically drop such samples and count them.
+    callers typically drop such samples and count them, as they do a
+    singular one.  The SVD behind that number runs only where the bound
+    ``||R||_F ||R^-1||_F`` exceeds the limit, so the drop decision is the
+    SVD's alone.
     """
     x = np.asarray(x, dtype=complex)
     lam, r = np.linalg.eig(x)
     order = np.lexsort((lam.imag, lam.real))
     lam = lam[order]
     r = r[:, order]
-    cond = float(np.linalg.cond(r))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise NearDefectiveError(
-            f"eigenvector condition estimate {cond:.3g} above limit")
-    left = np.linalg.inv(r)
-    norm = np.linalg.norm(x, 2)
+    try:
+        left = np.linalg.inv(r)
+    except np.linalg.LinAlgError:
+        raise NearDefectiveError("singular eigenvector matrix") from None
+    # a near-singular r overflows the bound to inf; the SVD decides then
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond = float(np.linalg.norm(r) * np.linalg.norm(left))
+    if not cond <= COND_LIMIT:
+        cond = float(np.linalg.cond(r))
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            raise NearDefectiveError(
+                f"eigenvector condition estimate {cond:.3g} above limit")
+    norm = np.linalg.norm(x)
     res_r = np.max(np.abs(x @ r - r * lam[np.newaxis, :]))
     res_l = np.max(np.abs(left @ x - lam[:, np.newaxis] * left))
     residual = float(max(res_r, res_l) / max(norm, 1.0))
@@ -116,15 +155,24 @@ def iter_samples(samples):
         yield item if isinstance(item, tuple) else (i, item, {})
 
 
-class EigenSystems:
-    """Decomposes samples one at a time: yields ``(index, es, overlaps)``.
+def _decompose(x, overlaps):
+    es = eig_biorthogonal(x)
+    return es, overlap_matrix(es) if overlaps else None
 
-    Each sample is pulled only after the previous one's item has been
+
+class EigenSystems:
+    """Decomposes samples on a thread pool: yields ``(index, es, overlaps)``.
+
+    Up to ``WORKERS`` samples are decomposed at once.  Sample ``k +
+    WORKERS`` is pulled only after the caller has taken the item of
+    sample ``k``, and items come back in pull order, so with one worker
+    each sample is pulled only after the previous one's item has been
     consumed.  The third item is the :func:`overlap_matrix` of ``es``
     when the caller sets ``overlaps``, else ``None``.  Near-defective
     draws are dropped and counted in ``n_dropped``, whether or not an
     accepted sample follows them; ``rejections`` sums the samplers'
-    reported ``info["rejections"]``.
+    reported ``info["rejections"]``.  Closing the iterator early cancels
+    the pending decompositions and waits for the running ones.
     """
 
     def __init__(self, samples, overlaps=False):
@@ -134,14 +182,26 @@ class EigenSystems:
         self.rejections = 0
 
     def __iter__(self):
-        for k, x, info in iter_samples(self.samples):
-            self.rejections += info.get("rejections", 0)
-            try:
-                es = eig_biorthogonal(x)
-            except NearDefectiveError:
-                self.n_dropped += 1
-                continue
-            yield k, es, overlap_matrix(es) if self.overlaps else None
+        pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="EigenSystems")
+        pending = collections.deque()
+        try:
+            for k, x, info in iter_samples(self.samples):
+                self.rejections += info.get("rejections", 0)
+                pending.append((k, pool.submit(_decompose, x, self.overlaps)))
+                if len(pending) == WORKERS:
+                    yield from self._settle(*pending.popleft())
+            while pending:
+                yield from self._settle(*pending.popleft())
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+    def _settle(self, k, future):
+        try:
+            es, o = future.result()
+        except NearDefectiveError:
+            self.n_dropped += 1
+            return
+        yield k, es, o
 
 
 @dataclass(frozen=True, eq=False)

@@ -144,6 +144,17 @@ class TestO2ClosedForms:
         with pytest.raises(ValueError):
             analytic.o2_biunitary(fs, 0.5, 0.5)
 
+    @pytest.mark.parametrize("kind,kwargs,z1,z2", [
+        ("induced_ginibre", {"alpha": 0.5}, 0.1 + 0.2j, -0.3 + 0.1j),
+        ("ginibre", {}, 1.5 + 0.2j, -1.3 + 0.1j),
+    ])
+    def test_zero_where_o1_vanishes_at_both_points(self, kind, kwargs, z1,
+                                                   z2):
+        # both points in the hole, or both outside the support: there
+        # F(r1) - F(r2) = 0 as well, and the bracket must not read 0/0
+        fs = analytic.radial_cdf(kind, **kwargs)
+        assert analytic.o2_biunitary(fs, z1, z2) == 0.0
+
 
 class TestHUniversal:
     def test_value(self):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overlap_lab import cli
+from overlap_lab import cli, overlaps
 from overlap_lab.cli import _complex_arg, main
 from overlap_lab.ensembles import EnsembleSpec, sample_many
 from overlap_lab.numcore import RngStream
@@ -176,7 +176,9 @@ class TestSample:
             {"0", "1"}
 
     def test_pulls_after_decomposition(self, tmp_path, monkeypatch):
-        # pair_rows is the last per-sample step of the sampling loop
+        # pair_rows is the last per-sample step of the sampling loop; one
+        # worker keeps the strict pull-then-decompose order
+        monkeypatch.setattr(overlaps, "WORKERS", 1)
         events = []
         draws = list(sample_many(EnsembleSpec("ginibre", 8), 7, 3))
 
@@ -287,6 +289,22 @@ class TestEstimate:
                      "a7729d30e7151f52dc1a1ddcf56e1258",
             "tracecov": "5c60abc108bf809e55831baea884576a"
                         "60326919182d33560846cb8f4e4b43f9"}
+
+    def test_csv_bytes_identical_at_one_and_two_workers(self, tmp_path,
+                                                        monkeypatch):
+        names = ("eigen.csv", "pairs.csv", "o1.csv", "o2.csv")
+        data = []
+        for workers in (1, 2):
+            monkeypatch.setattr(overlaps, "WORKERS", workers)
+            out = run_sample(tmp_path, name=f"w{workers}", n=12, samples=7,
+                             extra=("--pair-subsample", "0.5"))
+            assert main(["estimate", "o1", "--in", str(out),
+                         "--rbins", "4", "--rmax", "1.2"]) == 0
+            assert main(["estimate", "o2", "--in", str(out), "--dmin", "0.2",
+                         "--pair", "0.3,0.0,-0.3,0.1",
+                         "--half-width", "0.4"]) == 0
+            data.append([(out / name).read_bytes() for name in names])
+        assert data[0] == data[1]
 
     @given(command=st.sampled_from(["sample", "estimate"]),
            params=st.dictionaries(

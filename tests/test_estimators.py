@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overlap_lab import analytic, estimators
+from overlap_lab import analytic, estimators, overlaps
 from overlap_lab.ensembles import KINDS, EnsembleSpec, sample_many
 from overlap_lab.estimators import EstimatorConfig
 
@@ -131,7 +131,24 @@ class TestMonteCarloLoop:
         assert est.n_dropped == len(samples) - 4
 
     @pytest.mark.parametrize("name", list(EIGEN_ESTIMATORS))
+    def test_identical_at_one_and_two_workers(self, name, monkeypatch):
+        jordan = np.eye(12, k=1) + 0.5 * np.eye(12)
+        good = ginibre_samples(12, 9, seed=4)
+        samples = [jordan] + good[:5] + [jordan] + good[5:] + [jordan]
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(overlaps, "WORKERS", workers)
+            results.append(EIGEN_ESTIMATORS[name](samples))
+        one, two = results
+        assert one.n_dropped == two.n_dropped == 3
+        for field in ("estimate", "stderr", "count"):
+            a, b = getattr(one, field), getattr(two, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("name", list(EIGEN_ESTIMATORS))
     def test_pulls_after_decomposition(self, name, monkeypatch):
+        # one worker keeps the strict pull-then-decompose order
+        monkeypatch.setattr(overlaps, "WORKERS", 1)
         events = []
         eig = np.linalg.eig
 

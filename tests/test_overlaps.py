@@ -1,14 +1,17 @@
 """Unit tests for the biorthogonal eigendecomposition and overlap matrix."""
 
 import csv
+import threading
 
 import numpy as np
 import pytest
 
+from overlap_lab import overlaps
 from overlap_lab.ensembles import EnsembleSpec, sample
 from overlap_lab.numcore import RngStream
-from overlap_lab.overlaps import (EigenSystem, NearDefectiveError,
-                                  diagonal_overlaps, eig_biorthogonal,
+from overlap_lab.overlaps import (EigenSystem, EigenSystems,
+                                  NearDefectiveError, diagonal_overlaps,
+                                  eig_biorthogonal,
                                   eigen_rows, overlap_matrix, pair_rows,
                                   write_eigen_csv, write_pairs_csv)
 
@@ -52,6 +55,41 @@ class TestEigBiorthogonal:
         j = np.eye(6, k=1) + 0.5 * np.eye(6)
         with pytest.raises(NearDefectiveError):
             eig_biorthogonal(j)
+
+
+class TestEigenSystems:
+    def test_window_of_two(self, monkeypatch):
+        # sample k + 2 is pulled only after the caller has taken item k,
+        # and items come back in pull order
+        monkeypatch.setattr(overlaps, "WORKERS", 2)
+        xs = [ginibre(10, stream=k) for k in range(6)]
+        pulled = []
+
+        def pulls():
+            for k, x in enumerate(xs):
+                pulled.append(k)
+                yield x
+
+        received, ahead = [], []
+        for k, es, o in EigenSystems(pulls(), overlaps=True):
+            received.append(k)
+            ahead.append(len(pulled) - len(received))
+            assert np.array_equal(es.eigenvalues,
+                                  eig_biorthogonal(xs[k]).eigenvalues)
+            assert np.array_equal(o, overlap_matrix(es))
+        assert received == list(range(6))
+        assert ahead == [1, 1, 1, 1, 1, 0]
+
+    def test_early_stop_leaves_no_pool_thread(self, monkeypatch):
+        monkeypatch.setattr(overlaps, "WORKERS", 2)
+        systems = iter(EigenSystems([ginibre(40, stream=k)
+                                     for k in range(8)]))
+        next(systems)
+        assert any(t.name.startswith("EigenSystems")
+                   for t in threading.enumerate())
+        systems.close()
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("EigenSystems")]
 
 
 class TestOverlapMatrix:
