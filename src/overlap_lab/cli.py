@@ -93,6 +93,8 @@ PAIR_SUBSAMPLE_STREAM = 2 ** 64 - 1
 
 
 def cmd_sample(args):
+    if args.pair_subsample is not None and not 0 < args.pair_subsample <= 1:
+        raise SystemExit("--pair-subsample must lie in (0, 1]")
     os.makedirs(args.out, exist_ok=True)
     params = {"ensemble": args.ensemble, "n": args.n, "samples": args.samples,
               "sigma": args.sigma, "tau": args.tau, "alpha": args.alpha,
@@ -206,14 +208,12 @@ def _rt_from_args(args):
     kind = args.model
     if kind == "elliptic":
         return qsolver.elliptic_rt(args.sigma, args.tau)
-    if kind in ("ginibre", "induced_ginibre", "truncated_unitary",
-                "spherical", "product_ginibre"):
-        return qsolver.biunitary_rt(kind, alpha=args.alpha, kappa=args.kappa)
     if kind == "pseudo_hermitian_product":
         return qsolver.pseudo_hermitian_rt()
     if kind == "quantum_scattering":
         return qsolver.quantum_scattering_rt(args.m, args.gamma)
-    raise SystemExit(f"unknown model {kind!r}")
+    # any other model is a single ring, which radial_cdf defines or rejects
+    return qsolver.biunitary_rt(kind, alpha=args.alpha, kappa=args.kappa)
 
 
 def _print_complex(label, value):
@@ -262,7 +262,7 @@ def cmd_qsolve(args):
     elif args.what == "k":
         g1 = qsolver.solve_green(rt, args.z1)
         g2 = qsolver.solve_green(rt, args.z2)
-        k, pole = qsolver.ladder(rt, g1, g2)
+        k, pole, _ = qsolver.ladder(rt, g1, g2)
         print(f"pole,{pole}")
         for row in k:
             print(",".join(repr(float(v))

@@ -53,8 +53,8 @@ class EstimatorConfig:
     n_batches: int = 20
 
     def __post_init__(self):
-        if self.delta_min < 0:
-            raise ValueError("delta_min must be nonnegative")
+        if not 0.0 <= self.delta_min < np.inf:
+            raise ValueError("delta_min must be finite and nonnegative")
         if self.n_batches < 2:
             raise ValueError("need at least 2 batches for error bars")
 
@@ -225,6 +225,8 @@ def estimate_o2_windows(samples, windows, half_width,
     1[lambda_l near w]> divided by the squared window area.  Pairs
     closer than ``config.delta_min`` are excluded.
     """
+    if not 0.0 < half_width < np.inf:
+        raise ValueError("half_width must be positive and finite")
     windows = [(complex(z), complex(w)) for z, w in windows]
     area = (2.0 * half_width) ** 2
 

@@ -4,7 +4,7 @@ One-point Green's functions from the quaternionic R-transform fixed
 point, the ladder rung built from planar cumulants, the Bethe-Salpeter
 resummation of the two-point function, holomorphic traced resolvent
 products, the real-spectrum boundary-value route, and the wheel (double
-trace) generating function.
+trace) generating function, which reads det(1 - F B) from :func:`ladder`.
 
 Quaternions are plain ``(2, 2)`` complex arrays laid out as
 ``[[G_11, G_1b], [G_b1, G_bb]]``.  The 4x4 two-point objects use the
@@ -38,15 +38,16 @@ __all__ = [
     "o2_from_k",
     "h_holomorphic",
     "o2_real_spectrum",
-    "wheel_generating_function",
 ]
 
 # Fourier circles of wheel_word_covariance, eps -> 0 ladder and Im-part
-# tolerance of o2_real_spectrum, terms of quantum_scattering_rung_series.
+# tolerance of o2_real_spectrum, terms of quantum_scattering_rung_series,
+# steps and starting height of the _track_cubic_roots continuation.
 WHEEL_RADIUS, WHEEL_N_THETA = 1.8, 32
 EPS_LADDER = (1e-3, 5e-4, 2.5e-4)
 IMAG_TOL = 1e-8
 RUNG_SERIES_ORDER = 40
+TRACK_STEPS, TRACK_FAR = 160, 60.0
 
 
 @dataclass(frozen=True)
@@ -112,19 +113,19 @@ def _elliptic_g_holo(sigma, tau, z):
     return (z - s) / (2.0 * sigma ** 2 * tau)
 
 
-def _track_cubic_roots(coeff_func, targets, steps=160, far=60.0):
+def _track_cubic_roots(coeff_func, targets):
     """Follow the 1/z root of a parametric cubic from far away to each target.
 
     Continuation runs along the straight segment from
-    ``Re(z) + i sign(Im z) far`` down to the target, which never crosses
-    a real spectrum for targets off (or just off) the real axis.  The
-    companion matrices of every step of every target form one
-    ``(P, steps - 1, 3, 3)`` stack whose eigenvalues are the roots
+    ``Re(z) + i sign(Im z) TRACK_FAR`` down to the target, which never
+    crosses a real spectrum for targets off (or just off) the real axis.
+    The companion matrices of every step of every target form one
+    ``(P, TRACK_STEPS - 1, 3, 3)`` stack whose eigenvalues are the roots
     ``np.roots`` gives; the nearest-root rule then walks each path.
     """
     targets = np.asarray(targets, dtype=complex)
-    z0 = targets.real + 1j * np.where(targets.imag >= 0, far, -far)
-    t = np.linspace(0.0, 1.0, steps)[1:]
+    z0 = targets.real + 1j * np.where(targets.imag >= 0, TRACK_FAR, -TRACK_FAR)
+    t = np.linspace(0.0, 1.0, TRACK_STEPS)[1:]
     z = z0[:, None] + t * (targets - z0)[:, None]
     c = np.stack(np.broadcast_arrays(*coeff_func(z)), axis=-1)
     companion = np.zeros(z.shape + (3, 3), dtype=complex)
@@ -226,13 +227,12 @@ def solve_green(rt, z):
         return GreenResult(_quaternion(pt_green_scalar(z)), "nonholomorphic"
                            if _pt_on_axis(z) else "holomorphic", z)
     if rt.kind == "quantum_scattering":
-        g = qs_green_scalar(z, rt.m, rt.gamma)
+        q = _quaternion(qs_green_scalar(z, rt.m, rt.gamma))
         # 1 - |g|^2 B^{11}_{bb}(z, zbar) <= 0, the ladder's pole: inside
-        if abs(g) ** 2 * (1.0 + rt.m * rt.gamma ** 2
-                          / abs(1.0 - 1j * rt.gamma * g) ** 2) >= 1.0:
+        if (abs(q[0, 0]) ** 2 * build_rung(rt, q, q)[1, 1]).real >= 1.0:
             raise ValueError("quantum_scattering point inside the spectrum, "
                              "where no nonholomorphic solution is known")
-        return GreenResult(_quaternion(g), "holomorphic", z)
+        return GreenResult(q, "holomorphic", z)
     raise ValueError(f"unsupported R-transform kind {rt.kind!r}")
 
 
@@ -400,27 +400,27 @@ def solve_bethe_salpeter(gq, gp, b):
     """Resummed ladder K = (1 - (G_Q (x) G_P^T) B)^{-1} (G_Q (x) G_P^T).
 
     Takes Green's functions as for :func:`build_rung` (or bare arrays)
-    and the rung, single or stacked.  Returns ``(k, pole_flag)``; the
-    flag, one per matrix, marks a (near-)singular system, which is the
-    physical pole at coincident arguments rather than a numerical failure.
+    and the rung, single or stacked.  Returns ``(k, pole_flag, det)``: a
+    flag per matrix marks a near-singular system (the physical pole at
+    coincident arguments, not a numerical failure), det is its determinant.
     """
     free = _free_ladder(gq, gp)
     system = np.eye(4, dtype=complex) - free @ b
     pole = np.linalg.cond(system) > 1e12
-    return np.linalg.solve(system, free), pole
+    return np.linalg.solve(system, free), pole, np.linalg.det(system)
 
 
 def ladder(rt, gq, gp):
-    """Resummed ladder and pole flag ``(k, pole)`` of the rung of ``rt``.
+    """Resummed ladder, pole flag and det(1 - F B): ``(k, pole, det)``.
 
     Takes Green's functions as :func:`build_rung` does, single or
     stacked.  Every kind but a single ring goes through
     :func:`solve_bethe_salpeter`.  A single ring's rung is nonzero only on
     the block R of :func:`_ring_block`, at the (1b, b1) indices P, so K =
-    F + F_{:P} G F_{P:} with F the free ladder and G = (R - det R
-    adj F_PP)/(1 - tr(R F_PP) + det R det F_PP), in closed form: where R
-    diverges (x1 = x2 at r1 != r2, around a hole) a 4x4 solve loses about
-    eps/|x1 - x2|.  The flag then marks a near-singular 1 - R F_PP.
+    F + F_{:P} G F_{P:} and det = 1 - tr(R F_PP) + det R det F_PP, with F
+    the free ladder and G = (R - det R adj F_PP)/det, in closed form: where
+    R diverges (x1 = x2 at r1 != r2, around a hole) a 4x4 solve loses
+    about eps/|x1 - x2|.  The flag then marks a near-singular 1 - R F_PP.
     """
     if not rt.kind.startswith("biunitary_"):
         return solve_bethe_salpeter(gq, gp, build_rung(rt, gq, gp))
@@ -432,7 +432,7 @@ def ladder(rt, gq, gp):
     den = 1.0 - tr + det * np.linalg.det(fpp)
     g = (r - det[..., None, None] * adj) / den[..., None, None]
     pole = np.linalg.cond(np.eye(2) - r @ fpp) > 1e12
-    return free + free[..., :, 1:3] @ g @ free[..., 1:3, :], pole
+    return free + free[..., :, 1:3] @ g @ free[..., 1:3, :], pole, den
 
 
 def o2_from_k(rt, z1, z2):
@@ -441,14 +441,16 @@ def o2_from_k(rt, z1, z2):
     (1/pi^2) d/dzbar1 d/dz2 of K^{11}_{bb}.  The Green's function is
     solved once at each of the 16 distinct points of the h and h/2
     stencils, and the 32 ladders of the stencil pairs are resummed as one
-    stack by :func:`ladder`.
-    A point within 4h of the origin where O_1 diverges (product_ginibre;
-    O_1 is finite at every r > 0) raises ValueError.
+    stack by :func:`ladder`.  The stencils reach 2h from each point, so the
+    error grows like (h/|z1 - z2|)^4 near the pole at z1 = z2 (8e-2
+    relative at 4h, 1.3e-3 at 10h, 8e-5 at 20h).  A pair closer than 4h,
+    or a point within 4h of the origin where O_1 diverges (product_ginibre;
+    O_1 is finite at every r > 0), raises ValueError.
     """
     z1 = complex(z1)
     z2 = complex(z2)
-    if abs(z1 - z2) < 1e-9:
-        raise ValueError("coincident arguments")
+    if abs(z1 - z2) < 4.0 * STENCIL_H:
+        raise ValueError("arguments within 4h of each other")
     if (rt.kind.startswith("biunitary_")
             and min(abs(z1), abs(z2)) < 4.0 * STENCIL_H
             and math.isinf(o1_biunitary(rt.fspec, 0.0))):
@@ -457,7 +459,7 @@ def o2_from_k(rt, z1, z2):
     green = {w: solve_green(rt, w)
              for w in dict.fromkeys(w for pair in pairs for w in pair)}
     q1, q2 = ([green[w] for w in ws] for ws in zip(*pairs))
-    k, _ = ladder(rt, q1, q2)
+    k = ladder(rt, q1, q2)[0]
     k11 = dict(zip(pairs, k[:, 1, 1]))
     d = wirtinger_mixed_derivative(lambda w1, w2: k11[w1, w2], z1, z2)
     return d / math.pi ** 2
@@ -504,7 +506,6 @@ def h_holomorphic(rt, z1, z2bar):
 
 def _neville_to_zero(eps, vals):
     """Polynomial extrapolation of vals(eps) to eps = 0."""
-    eps = list(eps)
     tab = list(vals)
     n = len(tab)
     for j in range(1, n):
@@ -536,25 +537,21 @@ def o2_real_spectrum(rt, x, y):
     return float(out.real)
 
 
-def wheel_generating_function(gq, gp, b):
-    """Wheel (double-trace) generating function -log det[1 - (G(x)G^T)B].
-
-    Takes single matrices or stacks, as :func:`solve_bethe_salpeter`.
-    Principal branch; series extraction should stay in the region where
-    the determinant does not wind around zero.
+def _wheel(rt, gq, gp):
+    """Wheel (double-trace) generating function -log det[1 - (G(x)G^T)B]
+    from :func:`ladder`'s determinant, single or stacked, and
+    ZeroDivisionError at its flagged pole.  Principal branch: series
+    extraction should stay where the determinant does not wind around zero.
     """
-    arg = np.eye(4, dtype=complex) - _free_ladder(gq, gp) @ b
-    sign, logabs = np.linalg.slogdet(arg)
-    if np.any(sign == 0):
+    _, pole, det = ladder(rt, gq, gp)
+    if np.any(pole):
         raise ZeroDivisionError("determinant vanished in wheel function")
-    return -(logabs + np.log(sign))
+    return -np.log(det)
 
 
 def wheel_from_points(rt, z1, z2):
     """Wheel generating function at two spectral points."""
-    g1 = solve_green(rt, z1)
-    g2 = solve_green(rt, z2)
-    return wheel_generating_function(g1, g2, build_rung(rt, g1, g2))
+    return _wheel(rt, solve_green(rt, z1), solve_green(rt, z2))
 
 
 def wheel_word_covariance(rt, p, q):
@@ -565,7 +562,7 @@ def wheel_word_covariance(rt, p, q):
     outside the spectrum; the coefficient is extracted by a double
     Fourier transform over the circles ``z1 = R e^{i theta}``,
     ``zbar2 = R e^{i phi}``.  G is solved once at each circle point, and
-    the rungs and ladders of all point pairs form one stack.  A circle
+    one :func:`ladder` call resums all point pairs as a stack.  A circle
     that crosses the spectrum (quantum_scattering at the default radius)
     raises ValueError.
     """
@@ -574,7 +571,7 @@ def wheel_word_covariance(rt, p, q):
     # zbar2 = R e^{i phi_k}, so z2 = R e^{-i phi_k} is circle point -k
     rows = [a for a in circle for _ in circle]
     cols = [circle[-k] for k in range(WHEEL_N_THETA)] * WHEEL_N_THETA
-    vals = wheel_generating_function(rows, cols, build_rung(rt, rows, cols))
+    vals = _wheel(rt, rows, cols)
     # coefficient of e^{-i p theta} e^{-i q phi}
     phase = np.exp(1j * (p * thetas[:, None] + q * thetas[None, :]))
     coeff = np.sum(vals.reshape(phase.shape) * phase) / WHEEL_N_THETA ** 2

@@ -204,6 +204,13 @@ class TestSample:
         assert len(read_csv(thin / "pairs.csv")) < \
             len(read_csv(dense / "pairs.csv"))
 
+    @pytest.mark.parametrize("frac", ["-1", "0", "1.5", "nan"])
+    def test_pair_subsample_outside_unit_interval(self, tmp_path, frac):
+        # -1 wrote 0 pair rows and exited 0
+        with pytest.raises(SystemExit, match="must lie in"):
+            run_sample(tmp_path, extra=("--pair-subsample", frac))
+        assert not (tmp_path / "run").exists()
+
 
 class TestEstimate:
     def test_rho_and_o1(self, tmp_path):
@@ -224,6 +231,19 @@ class TestEstimate:
         rows = read_csv(out / "o2.csv")
         assert len(rows) == 1
         assert float(rows[0]["re_z"]) == 0.3
+
+    @pytest.mark.parametrize("opts,match", [
+        (["--half-width", "0"], "half_width"),
+        (["--half-width=-0.25"], "half_width"),
+        (["--dmin", "nan"], "delta_min"),
+    ])
+    def test_o2_rejects_bad_window(self, tmp_path, capsys, opts, match):
+        # these wrote nan,nan,nan,0 or 0.0,0.0,0.0,0 and exited 0
+        out = run_sample(tmp_path, n=10, samples=3)
+        assert main(["estimate", "o2", "--in", str(out),
+                     "--pair", "0.3,0.0,-0.3,0.1", *opts]) == 1
+        assert match in capsys.readouterr().err
+        assert not (out / "o2.csv").exists()
 
     def test_o2_requires_pairs(self, tmp_path):
         out = run_sample(tmp_path, n=10, samples=3)
@@ -367,12 +387,36 @@ class TestAnalyticQsolve:
                      "--z2=-0.8718,0.3462"]) == 0
         out = capsys.readouterr().out.splitlines()
         rt = qsolver.biunitary_rt("induced_ginibre", alpha=0.5)
-        k, pole = qsolver.ladder(rt, qsolver.solve_green(rt, z1),
-                                 qsolver.solve_green(rt, z2))
+        k, pole, _ = qsolver.ladder(rt, qsolver.solve_green(rt, z1),
+                                    qsolver.solve_green(rt, z2))
         assert out[0] == f"pole,{pole}"
         vals = np.array([[float(v) for v in line.split(",")]
                          for line in out[1:]])
         assert np.array_equal(vals[:, 0::2] + 1j * vals[:, 1::2], k)
+
+    def test_qsolve_wheel_word_cov(self, capsys):
+        assert main(["qsolve", "wheel", "--model", "ginibre",
+                     "--word-cov", "2,2"]) == 0
+        label, re, im = capsys.readouterr().out.strip().split(",")
+        assert label == "word_cov"
+        assert float(re) == pytest.approx(2.0, abs=1e-8)
+        assert abs(float(im)) < 1e-8
+
+    def test_qsolve_wheel_points(self, capsys):
+        from overlap_lab import qsolver
+        assert main(["qsolve", "wheel", "--model", "induced_ginibre",
+                     "--alpha", "0.5", "--z1=-0.0634,0.9205",
+                     "--z2=-0.8718,0.3462"]) == 0
+        label, re, im = capsys.readouterr().out.strip().split(",")
+        rt = qsolver.biunitary_rt("induced_ginibre", alpha=0.5)
+        ref = qsolver.wheel_from_points(rt, -0.0634 + 0.9205j,
+                                        -0.8718 + 0.3462j)
+        assert label == "wheel"
+        assert complex(float(re), float(im)) == ref
+
+    def test_qsolve_unknown_model(self, capsys):
+        assert main(["qsolve", "green", "--model", "nope"]) == 1
+        assert "'nope'" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -44,8 +44,9 @@ EIGEN_ESTIMATORS = {
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(delta_min=-1.0)
+        for delta_min in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                EstimatorConfig(delta_min=delta_min)
         with pytest.raises(ValueError):
             EstimatorConfig(n_batches=1)
 
@@ -214,6 +215,13 @@ class TestO2Windows:
                                    & (np.abs(lam.imag) < 0.25))
                   for lam in (np.linalg.eigvals(x) for _, x, _ in samples)]
         assert est.count[0] == sum(m * (m - 1) for m in inside) == 4
+
+    @pytest.mark.parametrize("half_width", [0.0, -0.25, math.nan, math.inf])
+    def test_bad_half_width_rejected(self, half_width):
+        # 0 gave nan estimates and -0.25 gave 0, both with count 0
+        samples = sample_many(EnsembleSpec("ginibre", 20), 3, 6)
+        with pytest.raises(ValueError, match="half_width"):
+            estimators.estimate_o2_windows(samples, [(0.3, -0.3)], half_width)
 
 
 class TestO2RealPairs:

@@ -8,7 +8,7 @@ import pytest
 
 from overlap_lab import analytic, estimators, qsolver
 from overlap_lab.ensembles import EnsembleSpec, sample_many
-from overlap_lab.numcore import stencil_pairs
+from overlap_lab.numcore import STENCIL_H, stencil_pairs
 
 
 class TestEllipticGreen:
@@ -124,12 +124,12 @@ class TestScalarGreens:
         assert abs(g + 1.0 / g + m * ig / (1.0 - ig * g) - z) < 1e-10 * abs(z)
 
 
-def serial_track(coeff_func, z_target, steps=160, far=60.0):
+def serial_track(coeff_func, z_target):
     """The np.roots homotopy one step at a time: the tracker's reference."""
     s = 1.0 if z_target.imag >= 0 else -1.0
-    z0 = complex(z_target.real, s * far)
+    z0 = complex(z_target.real, s * qsolver.TRACK_FAR)
     g = 1.0 / z0
-    for t in np.linspace(0.0, 1.0, steps)[1:]:
+    for t in np.linspace(0.0, 1.0, qsolver.TRACK_STEPS)[1:]:
         z = z0 + t * (z_target - z0)
         roots = np.roots(coeff_func(z))
         g = roots[np.argmin(np.abs(roots - g))]
@@ -137,6 +137,10 @@ def serial_track(coeff_func, z_target, steps=160, far=60.0):
 
 
 QS_PAIR = (-1.137 - 0.201j, -1.121 - 0.502j)
+# O_1(0.9227) = O_1(0.9381) for induced_ginibre alpha=0.5: the single
+# ring's rung grows like 1/(x1 - x2) at this pair (|T| ~ 3.5e3)
+EQUAL_O1_PAIR = (-0.06342816491394528 + 0.920540934630426j,
+                 -0.8718494645803783 + 0.34615481444249896j)
 
 
 class TestStackedTracker:
@@ -237,14 +241,34 @@ class TestPipeline:
         with pytest.raises(ValueError):
             qsolver.o2_from_k(rt, 0.5, 0.5)
 
+    @pytest.mark.parametrize("rt,z1,z2", [
+        (qsolver.elliptic_rt(1.0, 0.5), 0.1, 0.1015),
+        (qsolver.biunitary_rt("ginibre"), 0.5, 0.502),
+        (qsolver.biunitary_rt("ginibre"), 0.0, 0.002),
+    ], ids=["elliptic", "ginibre", "ginibre_origin"])
+    def test_near_coincident_rejected(self, rt, z1, z2):
+        # the stencils reach 2h from each point and crossed the pole at
+        # z1 = z2: -7.1e10 (closed form -1.5e10), -1.4e19 (-4.7e9) and a
+        # LinAlgError (a ValueError: match the message)
+        with pytest.raises(ValueError, match="within 4h of each other"):
+            qsolver.o2_from_k(rt, z1, z2)
+
+    @pytest.mark.parametrize("steps,rel", [(10, 5e-3), (20, 3e-4)])
+    def test_error_near_coincidence(self, steps, rel):
+        # the error grows like (h/|z1 - z2|)^4 outside the 4h guard
+        z1 = 0.3 + 0.1j
+        z2 = z1 + steps * STENCIL_H * np.exp(0.7j)
+        got = qsolver.o2_from_k(qsolver.biunitary_rt("ginibre"), z1, z2)
+        ref = analytic.o2_biunitary_closed_form("ginibre", z1, z2)
+        assert got == pytest.approx(ref, rel=rel)
+
     def test_pole_flag_near_coincidence(self):
         rt = qsolver.elliptic_rt(1.0, 0.0)
         z = 0.4 + 0.1j
         g1 = qsolver.solve_green(rt, z)
         g2 = qsolver.solve_green(rt, z + 1e-12)
         b = qsolver.build_rung(rt, g1, g2)
-        _, pole = qsolver.solve_bethe_salpeter(g1.g, g2.g, b)
-        assert pole
+        assert qsolver.solve_bethe_salpeter(g1.g, g2.g, b)[1]
 
     @pytest.mark.parametrize("rt,z1,z2", [
         (qsolver.biunitary_rt("ginibre"), 0.5 + 0.2j, -0.3 + 0.4j),
@@ -269,22 +293,18 @@ class TestPipeline:
         q1 = [qsolver.solve_green(rt, w) for w, _ in stencil_pairs(z1, z2)]
         q2 = [qsolver.solve_green(rt, w) for _, w in stencil_pairs(z1, z2)]
         b = qsolver.build_rung(rt, q1, q2)
-        k, pole = qsolver.solve_bethe_salpeter(q1, q2, b)
-        wheel = qsolver.wheel_generating_function(q1, q2, b)
+        k, pole, det = qsolver.solve_bethe_salpeter(q1, q2, b)
         for i, (a, c) in enumerate(zip(q1, q2)):
             bi = qsolver.build_rung(rt, a, c)
-            ki, pi = qsolver.solve_bethe_salpeter(a.g, c.g, bi)
+            ki, pi, di = qsolver.solve_bethe_salpeter(a.g, c.g, bi)
             assert np.array_equal(b[i], bi) and np.array_equal(k[i], ki)
-            assert pole[i] == pi
-            assert wheel[i] == qsolver.wheel_generating_function(a.g, c.g, bi)
+            assert pole[i] == pi and det[i] == di
 
     def test_equal_o1_at_distinct_radii(self):
-        # O_1(0.9227) = O_1(0.9381) for induced_ginibre alpha=0.5: the
-        # rung grows like 1/(x1 - x2) there, and the 4x4 ladder solve gave
-        # 1.0e-4 relative error (closed form -0.131124559+8.7e-5i)
+        # at EQUAL_O1_PAIR the 4x4 ladder solve gave 1.0e-4 relative
+        # error (closed form -0.131124559+8.7e-5i)
         rt = qsolver.biunitary_rt("induced_ginibre", alpha=0.5)
-        z1, z2 = -0.06342816491394528 + 0.920540934630426j, \
-            -0.8718494645803783 + 0.34615481444249896j
+        z1, z2 = EQUAL_O1_PAIR
         ref = analytic.o2_biunitary_closed_form("induced_ginibre", z1, z2,
                                                 alpha=0.5)
         assert qsolver.o2_from_k(rt, z1, z2) == pytest.approx(ref, rel=1e-8)
@@ -298,10 +318,11 @@ class TestPipeline:
         pairs = stencil_pairs(0.9 * np.exp(0.4j), 1.1 * np.exp(2.0j))
         q1 = [qsolver.solve_green(rt, w) for w, _ in pairs]
         q2 = [qsolver.solve_green(rt, w) for _, w in pairs]
-        k, pole = qsolver.solve_bethe_salpeter(
+        k, pole, det = qsolver.solve_bethe_salpeter(
             q1, q2, qsolver.build_rung(rt, q1, q2))
-        got, got_pole = qsolver.ladder(rt, q1, q2)
+        got, got_pole, got_det = qsolver.ladder(rt, q1, q2)
         assert np.max(np.abs(got - k)) < 1e-13 * np.max(np.abs(k))
+        assert np.max(np.abs(got_det - det)) < 1e-13 * np.max(np.abs(det))
         assert not pole.any() and not got_pole.any()
 
     def test_ring_ladder_pole_flag(self):
@@ -437,8 +458,8 @@ class TestHolomorphicTwoPoint:
     def test_is_ladder_component(self, rt, z1, z2):
         g1 = qsolver.solve_green(rt, z1)
         g2 = qsolver.solve_green(rt, z2)
-        k, _ = qsolver.solve_bethe_salpeter(
-            g1.g, g2.g, qsolver.build_rung(rt, g1, g2))
+        k = qsolver.solve_bethe_salpeter(
+            g1.g, g2.g, qsolver.build_rung(rt, g1, g2))[0]
         assert qsolver.h_holomorphic(rt, z1, np.conj(z2)) == pytest.approx(
             k[1, 1], rel=1e-14)
 
@@ -545,12 +566,40 @@ class TestWheel:
         assert len(calls) == qsolver.WHEEL_N_THETA
 
     def test_one_determinant_call(self, monkeypatch):
+        # the determinants of all circle pairs come from one stacked ladder
         calls = []
-        slogdet = np.linalg.slogdet
-        monkeypatch.setattr(np.linalg, "slogdet",
-                            lambda a: calls.append(a.shape) or slogdet(a))
+        ladder = qsolver.ladder
+        monkeypatch.setattr(qsolver, "ladder", lambda rt, gq, gp: (
+            calls.append((len(gq), len(gp))) or ladder(rt, gq, gp)))
         qsolver.wheel_word_covariance(qsolver.biunitary_rt("ginibre"), 1, 1)
-        assert calls == [(qsolver.WHEEL_N_THETA ** 2, 4, 4)]
+        assert calls == [(qsolver.WHEEL_N_THETA ** 2,) * 2]
+
+    def test_ring_determinant_is_closed_form(self):
+        # det(1 - F B) of a single ring is 1 - tr(R F_PP) + det R det F_PP;
+        # the 4x4 determinant was 6e-14 relative off it at this pair
+        rt = qsolver.biunitary_rt("induced_ginibre", alpha=0.5)
+        g1, g2 = (qsolver.solve_green(rt, z) for z in EQUAL_O1_PAIR)
+        r, det_r = qsolver._ring_block(rt, g1, g2)
+        fpp = qsolver._free_ladder(g1, g2)[1:3, 1:3]
+        det = 1.0 - np.trace(r @ fpp) + det_r * np.linalg.det(fpp)
+        assert qsolver.wheel_from_points(rt, *EQUAL_O1_PAIR) == pytest.approx(
+            -np.log(det), rel=1e-15)
+
+    @pytest.mark.parametrize("rt", [qsolver.biunitary_rt("ginibre"),
+                                    qsolver.elliptic_rt(1.0, 0.5)],
+                             ids=["ginibre", "elliptic"])
+    def test_pole_raises(self, rt):
+        # det(1 - F B) vanishes at coincident bulk points; -log of its
+        # rounding residue came out as 36.3 (ginibre) and 60.6 (elliptic)
+        with pytest.raises(ZeroDivisionError):
+            qsolver.wheel_from_points(rt, 0.5, 0.5 + 1e-13j)
+
+    def test_circle_through_spectrum_hits_pole(self):
+        # the spherical ensemble's bulk is the plane: the circle's
+        # coincident pairs sit on the pole
+        with pytest.raises(ZeroDivisionError):
+            qsolver.wheel_word_covariance(qsolver.biunitary_rt("spherical"),
+                                          1, 1)
 
     def test_wheel_vanishes_far_outside(self):
         rt = qsolver.biunitary_rt("ginibre")
