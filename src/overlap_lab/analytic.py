@@ -252,18 +252,15 @@ def _exact_h_matrix(n, z1, z2):
          (1, 1): 1.0 + 0.0j}
     dim = n - 1
     h = np.zeros((dim, dim), dtype=complex)
-    w = [lambda j: 1.0 / (j + 1.0), lambda j: 1.0, lambda j: j + 2.0]
-    for i in range(dim):
-        for j in range(max(0, i - 2), min(dim, i + 3)):
-            t = i - j
-            acc = 0.0 + 0.0j
-            for p in range(3):
-                q = p - t
-                if not 0 <= q <= 2:
-                    continue
-                coef = c[p] * d[q] + f.get((p, q), 0.0) / n
-                acc += coef * w[p](j) * float(n) ** (2 - p)
-            h[i, j] = acc
+    j = np.arange(dim)
+    w = [1.0 / (j + 1.0), np.ones(dim), j + 2.0]
+    # term (p, q) fills the diagonal i - j = p - q, so each entry sums its
+    # terms in increasing p
+    for p in range(3):
+        for q in range(3):
+            cols = j[max(0, q - p):dim - max(0, p - q)]
+            coef = c[p] * d[q] + f.get((p, q), 0.0) / n
+            h[cols + p - q, cols] += coef * w[p][cols] * float(n) ** (2 - p)
     return h
 
 

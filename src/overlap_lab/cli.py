@@ -21,8 +21,8 @@ from . import __version__
 from . import analytic, estimators, qsolver
 from .ensembles import KINDS, EnsembleSpec, sample_many
 from .numcore import RngStream
-from .overlaps import (EigenSystems, eigen_rows, pair_rows, write_eigen_csv,
-                       write_pairs_csv)
+from .overlaps import (MonteCarloLoop, eig_with_overlaps, eigen_rows,
+                       pair_rows, write_eigen_csv, write_pairs_csv)
 
 
 def _complex_arg(text):
@@ -107,9 +107,9 @@ def cmd_sample(args):
     spec = _ensemble_spec_from_params(params)
     eblocks, pblocks = [], []
     sub_rng = RngStream(args.seed, PAIR_SUBSAMPLE_STREAM).generator()
-    systems = EigenSystems(sample_many(spec, args.seed, args.samples),
-                           overlaps=True)
-    for k, es, o in systems:
+    systems = MonteCarloLoop(sample_many(spec, args.seed, args.samples),
+                             eig_with_overlaps)
+    for k, (es, o) in systems:
         eblocks.append(eigen_rows(k, es, np.real(np.diagonal(o))))
         pblocks.append(pair_rows(k, es, o,
                                  min_separation=args.min_separation,

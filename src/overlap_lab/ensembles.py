@@ -170,8 +170,8 @@ def sample(spec, rng_stream):
     return x, info
 
 
-def sample_many(spec, seed, n_samples, start_stream=0):
-    """Yield ``(stream_index, matrix, info)`` for consecutive substreams."""
-    for k in range(start_stream, start_stream + n_samples):
+def sample_many(spec, seed, n_samples):
+    """Yield ``(stream_index, matrix, info)`` for streams 0..n_samples-1."""
+    for k in range(n_samples):
         x, info = sample(spec, RngStream(seed, k))
         yield k, x, info

@@ -2,25 +2,27 @@
 
 All estimators consume an iterable of sample matrices (bare arrays or
 ``(index, matrix, info)`` triples as produced by
-:func:`overlap_lab.ensembles.sample_many`).  The eigenvalue-based
-estimators decompose each sample once through
-:class:`overlap_lab.overlaps.EigenSystems`, which decomposes up to
-``overlaps.WORKERS`` pulled samples at once on a thread pool, returns
-them in pull order, and drops and counts near-defective draws; the
-other estimators pull one sample at a time.  Each estimator maps a
-sample to a ``(value, count)`` contribution, and one batching routine
-averages the contributions over round-robin batches for batch-means
-error bars.
+:func:`overlap_lab.ensembles.sample_many`) through
+:class:`overlap_lab.overlaps.MonteCarloLoop`.  Each estimator gives the
+loop a per-sample function (a decomposition, two resolvents, two word
+traces), which runs on up to ``overlaps.WORKERS`` pulled samples at once
+on a thread pool; the results come back in pull order, and
+near-defective draws are dropped and counted.  On the calling thread each
+estimator maps a result to a ``(value, count)`` contribution, and one
+batching routine averages the contributions over round-robin batches for
+batch-means error bars.
 """
 
+import re
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .numcore import PairHistogram
-from .overlaps import (EigenSystems, diagonal_overlaps, eig_biorthogonal,
-                       iter_samples, overlap_matrix)
+from .overlaps import (MonteCarloLoop, diagonal_overlaps, eig_biorthogonal,
+                       eig_with_overlaps)
 
 __all__ = [
     "EstimatorConfig",
@@ -122,14 +124,14 @@ def _batch_means(contributions, n_batches):
     return mean, err, total, int(sizes.sum())
 
 
-def _eigen_batch_means(samples, config, contribution, overlaps=False):
-    """:func:`_batch_means` of ``contribution(es, o)`` over decomposed samples.
-
-    Returns ``(mean, stderr, count, n_used, n_dropped)``.
+def _loop_batch_means(samples, config, work, contribution):
+    """:func:`_batch_means` of ``contribution(work(x))`` over the samples:
+    ``work`` runs in a :class:`MonteCarloLoop`, ``contribution`` on the
+    calling thread.  Returns ``(mean, stderr, count, n_used, n_dropped)``.
     """
-    systems = EigenSystems(samples, overlaps)
-    return (*_batch_means((contribution(es, o) for _, es, o in systems),
-                          config.n_batches), systems.n_dropped)
+    loop = MonteCarloLoop(samples, work)
+    return (*_batch_means((contribution(r) for _, r in loop),
+                          config.n_batches), loop.n_dropped)
 
 
 def _radial(samples, radial_edges, config, o1):
@@ -137,7 +139,7 @@ def _radial(samples, radial_edges, config, o1):
     edges = np.asarray(radial_edges, dtype=float)
     areas = np.pi * (edges[1:] ** 2 - edges[:-1] ** 2)
 
-    def contribution(es, _):
+    def contribution(es):
         r = np.abs(es.eigenvalues)
         count, _ = np.histogram(r, bins=edges)
         if not o1:
@@ -146,8 +148,8 @@ def _radial(samples, radial_edges, config, o1):
                                weights=diagonal_overlaps(es).real)
         return mass / es.n ** 2, count
 
-    mean, err, count, n_used, n_dropped = _eigen_batch_means(
-        samples, config, contribution)
+    mean, err, count, n_used, n_dropped = _loop_batch_means(
+        samples, config, eig_biorthogonal, contribution)
     if count.sum() == 0:
         warnings.warn("no eigenvalues fell into the declared bins")
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -175,7 +177,7 @@ def estimate_density_real(samples, edges, config=EstimatorConfig()):
     edges = np.asarray(edges, dtype=float)
     n_total = n_complex = 0
 
-    def contribution(es, _):
+    def contribution(es):
         nonlocal n_total, n_complex
         lam = es.eigenvalues
         real_mask = np.abs(lam.imag) <= REAL_TOL * np.maximum(np.abs(lam), 1.0)
@@ -184,8 +186,8 @@ def estimate_density_real(samples, edges, config=EstimatorConfig()):
         count, _ = np.histogram(lam.real[real_mask], bins=edges)
         return count / es.n, count
 
-    mean, err, count, n_used, n_dropped = _eigen_batch_means(
-        samples, config, contribution)
+    mean, err, count, n_used, n_dropped = _loop_batch_means(
+        samples, config, eig_biorthogonal, contribution)
     widths = np.diff(edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     out = BinnedEstimate(centers[:, None], mean.real / widths, err / widths,
@@ -230,7 +232,8 @@ def estimate_o2_windows(samples, windows, half_width,
     windows = [(complex(z), complex(w)) for z, w in windows]
     area = (2.0 * half_width) ** 2
 
-    def contribution(es, o):
+    def contribution(system):
+        es, o = system
         lam = es.eigenvalues
         keep = _separated(es, o, config.delta_min)
         value = np.zeros(len(windows), dtype=complex)
@@ -245,8 +248,8 @@ def estimate_o2_windows(samples, windows, half_width,
             count[i] = np.count_nonzero(mask & keep)
         return value / (es.n * area ** 2), count
 
-    mean, err, count, n_used, n_dropped = _eigen_batch_means(
-        samples, config, contribution, overlaps=True)
+    mean, err, count, n_used, n_dropped = _loop_batch_means(
+        samples, config, eig_with_overlaps, contribution)
     centers = np.array([[z.real, z.imag, w.real, w.imag]
                         for z, w in windows])
     return BinnedEstimate(centers, mean, err, count, n_used, n_dropped)
@@ -262,7 +265,8 @@ def estimate_o2_real_pairs(samples, edges, config=EstimatorConfig()):
     edges = np.asarray(edges, dtype=float)
     areas = PairHistogram(edges, edges).bin_areas()
 
-    def contribution(es, o):
+    def contribution(system):
+        es, o = system
         keep = _separated(es, o, config.delta_min)
         k, l = np.nonzero(keep)
         x = es.eigenvalues.real
@@ -270,8 +274,8 @@ def estimate_o2_real_pairs(samples, edges, config=EstimatorConfig()):
         hist.accumulate(x[k], x[l], o[k, l] / es.n)
         return hist.weight, hist.count
 
-    mean, err, count, n_used, n_dropped = _eigen_batch_means(
-        samples, config, contribution, overlaps=True)
+    mean, err, count, n_used, n_dropped = _loop_batch_means(
+        samples, config, eig_with_overlaps, contribution)
     centers = 0.5 * (edges[:-1] + edges[1:])
     out = BinnedEstimate(
         np.array([[a, b] for a in centers for b in centers]),
@@ -292,44 +296,40 @@ def estimate_traced_resolvent_product(samples, z1, z2,
     z1 = complex(z1)
     z2 = complex(z2)
 
-    def contributions():
-        warned = False
-        for _, x, _ in iter_samples(samples):
-            n = x.shape[0]
-            eye = np.eye(n)
-            # one inverse per distinct point: (zbar2 - X+)^{-1} = r[z2]^H
-            r = {z: np.linalg.inv(z * eye - x) for z in {z1, z2}}
-            limit = np.sqrt(n) / RESOLVENT_MARGIN
-            if not warned and any(np.linalg.norm(a, "fro") > limit
-                                  for a in r.values()):
-                warnings.warn(
-                    "evaluation point close to the empirical spectrum")
-                warned = True
-            yield np.vdot(r[z2], r[z1]) / n, 1
+    warned = False
 
-    mean, err, _, n_used = _batch_means(contributions(), config.n_batches)
+    def work(x):
+        n = x.shape[0]
+        eye = np.eye(n)
+        # one inverse per distinct point: (zbar2 - X+)^{-1} = r[z2]^H
+        r = {z: np.linalg.inv(z * eye - x) for z in {z1, z2}}
+        limit = np.sqrt(n) / RESOLVENT_MARGIN
+        near = any(np.linalg.norm(a, "fro") > limit for a in r.values())
+        return np.vdot(r[z2], r[z1]) / n, near
+
+    def contribution(result):
+        nonlocal warned
+        value, near = result
+        if near and not warned:
+            warnings.warn("evaluation point close to the empirical spectrum")
+            warned = True
+        return value, 1
+
+    mean, err, _, n_used, _ = _loop_batch_means(samples, config, work,
+                                                contribution)
     return ScalarEstimate(complex(mean), float(err), n_used)
 
 
 def _word_trace(x, word):
     """(1/N) Tr of a word over {X, X+}; word syntax: 'X' and 'X+' tokens."""
-    n = x.shape[0]
-    acc = np.eye(n, dtype=complex)
-    i = 0
-    any_factor = False
-    while i < len(word):
-        if word[i] != "X":
-            raise ValueError(f"bad word {word!r}")
-        if i + 1 < len(word) and word[i + 1] == "+":
-            acc = acc @ x.conj().T
-            i += 2
-        else:
-            acc = acc @ x
-            i += 1
-        any_factor = True
-    if not any_factor:
+    letters = re.findall(r"X\+?", word)
+    if "".join(letters) != word:
+        raise ValueError(f"bad word {word!r}")
+    if not letters:
         return 1.0 + 0.0j
-    return np.trace(acc) / n
+    x = np.asarray(x, dtype=complex)
+    acc = reduce(np.matmul, [x.conj().T if t == "X+" else x for t in letters])
+    return np.trace(acc) / x.shape[0]
 
 
 def estimate_trace_covariance(samples, word1, word2,
@@ -343,8 +343,9 @@ def estimate_trace_covariance(samples, word1, word2,
     m >= 2; each batch covariance divides by m - 1, so it is unbiased,
     and the error bar is the batch-means standard error.
     """
-    traces = np.array([(_word_trace(x, word1), _word_trace(x, word2))
-                       for _, x, _ in iter_samples(samples)])
+    loop = MonteCarloLoop(
+        samples, lambda x: (_word_trace(x, word1), _word_trace(x, word2)))
+    traces = np.array([t for _, t in loop])
     n = len(traces)
     if n < 4:
         raise ValueError("need at least 4 samples for a covariance estimate")
@@ -360,6 +361,5 @@ def estimate_trace_covariance(samples, word1, word2,
 
 def sum_rule_residual(x):
     """max_k |sum_l O_kl - 1| for one matrix (completeness sum rule)."""
-    es = eig_biorthogonal(x)
-    o = overlap_matrix(es)
+    _, o = eig_with_overlaps(x)
     return float(np.max(np.abs(o.sum(axis=1) - 1.0)))

@@ -37,28 +37,28 @@ def _mixed_second(f, z1, z2, h):
     return 0.25 * (dxx + dyy + 1j * (dyx - dxy))
 
 
-def stencil_pairs(z1, z2, h=STENCIL_H):
+def stencil_pairs(z1, z2):
     """The 32 argument pairs at which :func:`wirtinger_mixed_derivative`
     evaluates ``f``, as the same expressions: a table of precomputed
     values keyed by them is hit bit for bit."""
     z1 = complex(z1)
     z2 = complex(z2)
-    return _stencil(z1, z2, h) + _stencil(z1, z2, 0.5 * h)
+    return _stencil(z1, z2, STENCIL_H) + _stencil(z1, z2, 0.5 * STENCIL_H)
 
 
-def wirtinger_mixed_derivative(f, z1, z2, h=STENCIL_H):
+def wirtinger_mixed_derivative(f, z1, z2):
     """Mixed Wirtinger derivative d/dzbar1 d/dz2 of ``f(z1, z2)``.
 
     ``f`` must be evaluable on the central-difference stencil around
     ``(z1, z2)`` (the points of :func:`stencil_pairs`); it may depend on
     ``conj(z1)``, ``conj(z2)`` (the derivative is taken in the four real
     coordinates).  The raw stencil is O(h^2) accurate; the h and h/2
-    results are Richardson-combined to O(h^4).
+    results at h = ``STENCIL_H`` are Richardson-combined to O(h^4).
     """
     z1 = complex(z1)
     z2 = complex(z2)
-    coarse = _mixed_second(f, z1, z2, h)
-    fine = _mixed_second(f, z1, z2, 0.5 * h)
+    coarse = _mixed_second(f, z1, z2, STENCIL_H)
+    fine = _mixed_second(f, z1, z2, 0.5 * STENCIL_H)
     return (4.0 * fine - coarse) / 3.0
 
 

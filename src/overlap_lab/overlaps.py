@@ -6,15 +6,17 @@ matrix, so biorthogonality ``<L_i|R_j> = delta_ij`` and completeness
 consequence the row-sum identity ``sum_l O_kl = 1`` is exact per matrix
 and serves as the main numerical self-check.
 
-:class:`EigenSystems` is the Monte Carlo loop of the package: the
-estimators and ``overlap-lab sample`` pull their samples through it, so
-a near-defective draw is dropped and counted in one place.  It keeps a
-bounded window of ``WORKERS`` decompositions in flight on a thread pool
-(LAPACK runs without the GIL) and hands the results back in pull order;
-decompositions are pure, so the window changes no result.  ``WORKERS``
-is the number of usable cores divided by the BLAS thread count
-(``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else all cores), so
-an unpinned BLAS gets one worker.
+:class:`MonteCarloLoop` is the Monte Carlo loop of the package: every
+estimator and ``overlap-lab sample`` pull their samples through it, so
+a near-defective draw is dropped and counted in one place.  It runs a
+per-sample function given by the caller (a decomposition, a pair of
+resolvents, word traces) on a bounded window of ``WORKERS`` samples in
+flight on a thread pool (LAPACK and BLAS run without the GIL) and hands
+the results back in pull order; the functions are pure, so the window
+changes no result.  ``WORKERS`` is the number of usable cores divided by
+the BLAS thread count (``OPENBLAS_NUM_THREADS``, else
+``OMP_NUM_THREADS``, else all cores), so an unpinned BLAS gets one
+worker.
 
 The CSV writers take per-sample column blocks (:class:`EigenBlock`,
 :class:`PairBlock`) and format them in one pass.  The layout of
@@ -37,8 +39,8 @@ __all__ = [
     "eig_biorthogonal",
     "overlap_matrix",
     "diagonal_overlaps",
-    "EigenSystems",
-    "iter_samples",
+    "eig_with_overlaps",
+    "MonteCarloLoop",
     "write_eigen_csv",
     "write_pairs_csv",
 ]
@@ -61,7 +63,7 @@ def _workers():
     return max(1, cores // max(threads, 1))
 
 
-WORKERS = _workers()  # decompositions in flight in one EigenSystems loop
+WORKERS = _workers()  # samples in flight in one MonteCarloLoop
 
 
 class NearDefectiveError(np.linalg.LinAlgError):
@@ -144,50 +146,42 @@ def diagonal_overlaps(es):
     return ln * rn
 
 
-def iter_samples(samples):
-    """Yield ``(index, matrix, info)`` for each item of ``samples``.
-
-    Items are bare matrices, indexed by position with empty ``info``,
-    or ``(index, matrix, info)`` triples as produced by
-    :func:`overlap_lab.ensembles.sample_many`.
-    """
-    for i, item in enumerate(samples):
-        yield item if isinstance(item, tuple) else (i, item, {})
-
-
-def _decompose(x, overlaps):
+def eig_with_overlaps(x):
+    """:func:`eig_biorthogonal` of ``x`` and its :func:`overlap_matrix`."""
     es = eig_biorthogonal(x)
-    return es, overlap_matrix(es) if overlaps else None
+    return es, overlap_matrix(es)
 
 
-class EigenSystems:
-    """Decomposes samples on a thread pool: yields ``(index, es, overlaps)``.
+class MonteCarloLoop:
+    """Runs ``work`` on samples on a thread pool: yields ``(index, work(x))``.
 
-    Up to ``WORKERS`` samples are decomposed at once.  Sample ``k +
-    WORKERS`` is pulled only after the caller has taken the item of
-    sample ``k``, and items come back in pull order, so with one worker
-    each sample is pulled only after the previous one's item has been
-    consumed.  The third item is the :func:`overlap_matrix` of ``es``
-    when the caller sets ``overlaps``, else ``None``.  Near-defective
-    draws are dropped and counted in ``n_dropped``, whether or not an
-    accepted sample follows them; ``rejections`` sums the samplers'
-    reported ``info["rejections"]``.  Closing the iterator early cancels
-    the pending decompositions and waits for the running ones.
+    Samples are bare matrices, indexed by position, or ``(index, matrix,
+    info)`` triples from :func:`overlap_lab.ensembles.sample_many`.  Up to
+    ``WORKERS`` samples are worked on at once.  Sample ``k + WORKERS`` is
+    pulled only after the caller has taken the item of sample ``k``, and
+    items come back in pull order, so with one worker each sample is
+    pulled only after the previous one's item has been consumed.  A
+    sample whose ``work`` raises :class:`NearDefectiveError` is dropped
+    and counted in ``n_dropped``, whether or not an accepted sample
+    follows it; ``rejections`` sums the samplers' ``info["rejections"]``.
+    Closing the iterator early cancels the pending work and waits for the
+    running work.
     """
 
-    def __init__(self, samples, overlaps=False):
+    def __init__(self, samples, work):
         self.samples = samples
-        self.overlaps = overlaps
+        self.work = work
         self.n_dropped = 0
         self.rejections = 0
 
     def __iter__(self):
-        pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="EigenSystems")
+        pool = ThreadPoolExecutor(WORKERS, thread_name_prefix="MonteCarloLoop")
         pending = collections.deque()
         try:
-            for k, x, info in iter_samples(self.samples):
+            for i, item in enumerate(self.samples):
+                k, x, info = item if isinstance(item, tuple) else (i, item, {})
                 self.rejections += info.get("rejections", 0)
-                pending.append((k, pool.submit(_decompose, x, self.overlaps)))
+                pending.append((k, pool.submit(self.work, x)))
                 if len(pending) == WORKERS:
                     yield from self._settle(*pending.popleft())
             while pending:
@@ -197,11 +191,11 @@ class EigenSystems:
 
     def _settle(self, k, future):
         try:
-            es, o = future.result()
+            result = future.result()
         except NearDefectiveError:
             self.n_dropped += 1
             return
-        yield k, es, o
+        yield k, result
 
 
 @dataclass(frozen=True, eq=False)

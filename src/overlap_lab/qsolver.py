@@ -403,11 +403,16 @@ def solve_bethe_salpeter(gq, gp, b):
     and the rung, single or stacked.  Returns ``(k, pole_flag, det)``: a
     flag per matrix marks a near-singular system (the physical pole at
     coincident arguments, not a numerical failure), det is its determinant.
+    An exactly singular system raises ZeroDivisionError.
     """
     free = _free_ladder(gq, gp)
     system = np.eye(4, dtype=complex) - free @ b
     pole = np.linalg.cond(system) > 1e12
-    return np.linalg.solve(system, free), pole, np.linalg.det(system)
+    try:
+        k = np.linalg.solve(system, free)
+    except np.linalg.LinAlgError:
+        raise ZeroDivisionError("singular at a Bethe-Salpeter pole") from None
+    return k, pole, np.linalg.det(system)
 
 
 def ladder(rt, gq, gp):
@@ -542,11 +547,14 @@ def _wheel(rt, gq, gp):
     from :func:`ladder`'s determinant, single or stacked, and
     ZeroDivisionError at its flagged pole.  Principal branch: series
     extraction should stay where the determinant does not wind around zero.
+    A det negative real up to rounding (|Im det| <= 1e-14 |det|), as at
+    single-ring bulk pairs, is read with Im det = +0.0 and gives -i pi.
     """
     _, pole, det = ladder(rt, gq, gp)
     if np.any(pole):
         raise ZeroDivisionError("determinant vanished in wheel function")
-    return -np.log(det)
+    cut = (det.real < 0) & (np.abs(det.imag) <= 1e-14 * np.abs(det))
+    return -np.log(np.where(cut, det.real + 0j, det))
 
 
 def wheel_from_points(rt, z1, z2):

@@ -226,7 +226,42 @@ def quadrature_exact_o2(n, z1, z2):
     return -pref * np.linalg.det(h)
 
 
+def loop_exact_h_matrix(n, z1, z2):
+    """Entry-by-entry reference for analytic._exact_h_matrix: each entry
+    sums its terms h_ij = sum_p (c_p d_q + f_pq/N) (j+p)!/(j+1)! N^{2-p},
+    q = p + i - j, in increasing p."""
+    z1 = complex(z1)
+    z2 = complex(z2)
+    c = np.array([z1 * z2, -(z1 + z2), 1.0], dtype=complex)
+    d = np.array([np.conj(z1) * np.conj(z2),
+                  -(np.conj(z1) + np.conj(z2)), 1.0], dtype=complex)
+    f = {(0, 0): np.conj(z1) * z2, (0, 1): -z2, (1, 0): -np.conj(z1),
+         (1, 1): 1.0 + 0.0j}
+    dim = n - 1
+    h = np.zeros((dim, dim), dtype=complex)
+    w = [lambda j: 1.0 / (j + 1.0), lambda j: 1.0, lambda j: j + 2.0]
+    for i in range(dim):
+        for j in range(max(0, i - 2), min(dim, i + 3)):
+            t = i - j
+            acc = 0.0 + 0.0j
+            for p in range(3):
+                q = p - t
+                if not 0 <= q <= 2:
+                    continue
+                coef = c[p] * d[q] + f.get((p, q), 0.0) / n
+                acc += coef * w[p](j) * float(n) ** (2 - p)
+            h[i, j] = acc
+    return h
+
+
 class TestExactFiniteN:
+    @pytest.mark.parametrize("n", [2, 3, 5, 40, 80])
+    def test_h_matrix_matches_loop_bit_for_bit(self, n):
+        for z1, z2 in [(0.0, 0.0), (0.3 + 0.1j, -0.2 + 0.4j),
+                       (0.7 - 0.2j, 0.1), (1.1 + 0.3j, -0.9j)]:
+            got = analytic._exact_h_matrix(n, z1, z2)
+            assert got.tobytes() == loop_exact_h_matrix(n, z1, z2).tobytes()
+
     def test_raw_origin_n2(self):
         got = analytic.o2_exact_ginibre(2, 0.0, 0.0, normalized=False)
         assert got == pytest.approx(-6.0 / math.pi ** 2, abs=1e-10)

@@ -312,7 +312,8 @@ class TestEstimate:
 
     def test_csv_bytes_identical_at_one_and_two_workers(self, tmp_path,
                                                         monkeypatch):
-        names = ("eigen.csv", "pairs.csv", "o1.csv", "o2.csv")
+        names = ("eigen.csv", "pairs.csv", "o1.csv", "o2.csv", "hprod.csv",
+                 "tracecov.csv")
         data = []
         for workers in (1, 2):
             monkeypatch.setattr(overlaps, "WORKERS", workers)
@@ -323,6 +324,10 @@ class TestEstimate:
             assert main(["estimate", "o2", "--in", str(out), "--dmin", "0.2",
                          "--pair", "0.3,0.0,-0.3,0.1",
                          "--half-width", "0.4"]) == 0
+            assert main(["estimate", "hprod", "--in", str(out),
+                         "--z1", "2,0.5", "--z2", "1.5,-0.5"]) == 0
+            assert main(["estimate", "tracecov", "--in", str(out),
+                         "--word1", "XX", "--word2", "X+X+"]) == 0
             data.append([(out / name).read_bytes() for name in names])
         assert data[0] == data[1]
 
@@ -413,6 +418,13 @@ class TestAnalyticQsolve:
                                         -0.8718 + 0.3462j)
         assert label == "wheel"
         assert complex(float(re), float(im)) == ref
+
+    @pytest.mark.parametrize("what", ["k", "wheel"])
+    def test_qsolve_singular_pole(self, what, capsys):
+        # 1 - F B is exactly singular at coincident elliptic bulk points
+        assert main(["qsolve", what, "--model", "elliptic", "--tau", "0.5",
+                     "--z1", "0.5,0", "--z2", "0.5,0"]) == 1
+        assert "Bethe-Salpeter pole" in capsys.readouterr().err
 
     def test_qsolve_unknown_model(self, capsys):
         assert main(["qsolve", "green", "--model", "nope"]) == 1

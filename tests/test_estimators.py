@@ -1,6 +1,7 @@
 """Unit tests for the Monte Carlo estimators."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -40,6 +41,20 @@ EIGEN_ESTIMATORS = {
     "o2_real_pairs": lambda s: estimators.estimate_o2_real_pairs(
         s, np.linspace(-1.2, 1.2, 4)),
 }
+
+# every estimator: the eigenvalue-based ones, and the two whose per-sample
+# work is a pair of resolvents or a pair of word traces
+ESTIMATORS = {
+    **EIGEN_ESTIMATORS,
+    "resolvent": lambda s: estimators.estimate_traced_resolvent_product(
+        s, 2.0 + 0.5j, 1.5 - 0.5j),
+    "trace_cov": lambda s: estimators.estimate_trace_covariance(
+        s, "XX", "X+X+"),
+}
+
+# the call in each estimator's per-sample work, and its calls per sample
+WORK_CALLS = {"resolvent": (np.linalg, "inv", 2),
+              "trace_cov": (estimators, "_word_trace", 2)}
 
 
 class TestConfig:
@@ -131,7 +146,7 @@ class TestMonteCarloLoop:
         assert est.n_samples == 4
         assert est.n_dropped == len(samples) - 4
 
-    @pytest.mark.parametrize("name", list(EIGEN_ESTIMATORS))
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
     def test_identical_at_one_and_two_workers(self, name, monkeypatch):
         jordan = np.eye(12, k=1) + 0.5 * np.eye(12)
         good = ginibre_samples(12, 9, seed=4)
@@ -139,35 +154,73 @@ class TestMonteCarloLoop:
         results = []
         for workers in (1, 2):
             monkeypatch.setattr(overlaps, "WORKERS", workers)
-            results.append(EIGEN_ESTIMATORS[name](samples))
+            results.append(ESTIMATORS[name](samples))
         one, two = results
-        assert one.n_dropped == two.n_dropped == 3
-        for field in ("estimate", "stderr", "count"):
-            a, b = getattr(one, field), getattr(two, field)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        # only a decomposition drops the near-defective draws
+        dropped = 3 if name in EIGEN_ESTIMATORS else 0
+        assert (getattr(one, "n_dropped", 0) == getattr(two, "n_dropped", 0)
+                == dropped)
+        for field in ("estimate", "stderr", "count", "value", "n_samples"):
+            if hasattr(one, field):
+                a = np.asarray(getattr(one, field))
+                b = np.asarray(getattr(two, field))
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("name", list(EIGEN_ESTIMATORS))
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
     def test_pulls_after_decomposition(self, name, monkeypatch):
-        # one worker keeps the strict pull-then-decompose order
+        # one worker keeps the strict pull-then-work order
         monkeypatch.setattr(overlaps, "WORKERS", 1)
         events = []
-        eig = np.linalg.eig
+        owner, attr, calls = WORK_CALLS.get(name, (np.linalg, "eig", 1))
+        work = getattr(owner, attr)
 
-        def logged_eig(x):
-            events.append(("eig", int(x[0, 0].real)))
-            return eig(x)
+        def logged(a, *args):
+            # sample k carries k at [0, 0] and 0 at [1, 1]; the resolvent
+            # argument z - X carries -k between them
+            events.append(("work", round(abs((a[0, 0] - a[1, 1]).real))))
+            return work(a, *args)
 
         def pulls(samples):
             for k, x in enumerate(samples):
                 events.append(("pull", k))
                 x = x.copy()
-                x[0, 0] = k
+                x[0, 0], x[1, 1] = k, 0
                 yield x
 
-        samples = [x for _, x, _ in ginibre_samples(12, 3)]
-        monkeypatch.setattr(np.linalg, "eig", logged_eig)
-        EIGEN_ESTIMATORS[name](pulls(samples))
-        assert events == [(e, k) for k in range(3) for e in ("pull", "eig")]
+        samples = [x for _, x, _ in ginibre_samples(12, 4)]
+        monkeypatch.setattr(owner, attr, logged)
+        ESTIMATORS[name](pulls(samples))
+        assert events == [e for k in range(4)
+                          for e in [("pull", k)] + [("work", k)] * calls]
+
+    def test_resolvent_window_of_two(self, monkeypatch):
+        # the resolvents run on the loop's pool, and sample k + 2 is
+        # pulled only after the caller has taken the item of sample k
+        monkeypatch.setattr(overlaps, "WORKERS", 2)
+        pulled, seen = [], {}
+        inv = np.linalg.inv
+
+        def logged_inv(a):
+            # a = 2 - X, and sample k carries k at [0, 0] and 0 at [1, 1]
+            k = round((a[1, 1] - a[0, 0]).real)
+            seen[k] = (threading.current_thread().name, len(pulled))
+            return inv(a)
+
+        def pulls(samples):
+            for k, x in enumerate(samples):
+                pulled.append(k)
+                x = x.copy()
+                x[0, 0], x[1, 1] = k, 0
+                yield x
+
+        samples = [x for _, x, _ in ginibre_samples(10, 6)]
+        monkeypatch.setattr(np.linalg, "inv", logged_inv)
+        est = estimators.estimate_traced_resolvent_product(
+            pulls(samples), 2.0, 2.0)
+        assert est.n_samples == 6 and sorted(seen) == list(range(6))
+        for k, (thread, n_pulled) in seen.items():
+            assert thread.startswith("MonteCarloLoop")
+            assert k + 1 <= n_pulled <= k + 2
 
     @pytest.mark.parametrize("name", list(EIGEN_ESTIMATORS) + ["resolvent"])
     def test_one_batch_raises(self, name):
@@ -296,8 +349,15 @@ class TestTraceCovariance:
         assert estimators._word_trace(x, "XX") == pytest.approx(2.0)
         assert estimators._word_trace(x, "X+") == pytest.approx(0.0)
         assert estimators._word_trace(x, "XX+") == pytest.approx(2.5)
-        with pytest.raises(ValueError):
-            estimators._word_trace(x, "Y")
+        assert estimators._word_trace(x, "") == 1.0
+        for word in ("Y", "X++", "+X", "XY"):
+            with pytest.raises(ValueError):
+                estimators._word_trace(x, word)
+        # two-letter words against an explicit product, bit for bit
+        (_, g, _), = ginibre_samples(9, 1)
+        xh = g.conj().T
+        assert estimators._word_trace(g, "XX") == np.trace(g @ g) / 9
+        assert estimators._word_trace(g, "X+X+") == np.trace(xh @ xh) / 9
 
     def test_ginibre_first_moment_covariance(self):
         n = 50

@@ -9,9 +9,9 @@ import pytest
 from overlap_lab import overlaps
 from overlap_lab.ensembles import EnsembleSpec, sample
 from overlap_lab.numcore import RngStream
-from overlap_lab.overlaps import (EigenSystem, EigenSystems,
+from overlap_lab.overlaps import (EigenSystem, MonteCarloLoop,
                                   NearDefectiveError, diagonal_overlaps,
-                                  eig_biorthogonal,
+                                  eig_biorthogonal, eig_with_overlaps,
                                   eigen_rows, overlap_matrix, pair_rows,
                                   write_eigen_csv, write_pairs_csv)
 
@@ -57,7 +57,7 @@ class TestEigBiorthogonal:
             eig_biorthogonal(j)
 
 
-class TestEigenSystems:
+class TestMonteCarloLoop:
     def test_window_of_two(self, monkeypatch):
         # sample k + 2 is pulled only after the caller has taken item k,
         # and items come back in pull order
@@ -71,7 +71,7 @@ class TestEigenSystems:
                 yield x
 
         received, ahead = [], []
-        for k, es, o in EigenSystems(pulls(), overlaps=True):
+        for k, (es, o) in MonteCarloLoop(pulls(), eig_with_overlaps):
             received.append(k)
             ahead.append(len(pulled) - len(received))
             assert np.array_equal(es.eigenvalues,
@@ -82,14 +82,14 @@ class TestEigenSystems:
 
     def test_early_stop_leaves_no_pool_thread(self, monkeypatch):
         monkeypatch.setattr(overlaps, "WORKERS", 2)
-        systems = iter(EigenSystems([ginibre(40, stream=k)
-                                     for k in range(8)]))
+        systems = iter(MonteCarloLoop([ginibre(40, stream=k)
+                                       for k in range(8)], eig_biorthogonal))
         next(systems)
-        assert any(t.name.startswith("EigenSystems")
+        assert any(t.name.startswith("MonteCarloLoop")
                    for t in threading.enumerate())
         systems.close()
         assert not [t for t in threading.enumerate()
-                    if t.name.startswith("EigenSystems")]
+                    if t.name.startswith("MonteCarloLoop")]
 
 
 class TestOverlapMatrix:

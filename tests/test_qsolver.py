@@ -582,8 +582,10 @@ class TestWheel:
         r, det_r = qsolver._ring_block(rt, g1, g2)
         fpp = qsolver._free_ladder(g1, g2)[1:3, 1:3]
         det = 1.0 - np.trace(r @ fpp) + det_r * np.linalg.det(fpp)
+        # det is negative real here, read with Im det = +0.0 (-i pi)
+        assert det.real < 0 and abs(det.imag) <= 1e-14 * abs(det)
         assert qsolver.wheel_from_points(rt, *EQUAL_O1_PAIR) == pytest.approx(
-            -np.log(det), rel=1e-15)
+            -np.log(det.real + 0j), rel=1e-15)
 
     @pytest.mark.parametrize("rt", [qsolver.biunitary_rt("ginibre"),
                                     qsolver.elliptic_rt(1.0, 0.5)],
@@ -600,6 +602,16 @@ class TestWheel:
         with pytest.raises(ZeroDivisionError):
             qsolver.wheel_word_covariance(qsolver.biunitary_rt("spherical"),
                                           1, 1)
+
+    def test_negative_real_determinant_takes_minus_i_pi(self):
+        # det(1 - F B) is negative real at single-ring bulk pairs; the
+        # rounding residue of Im det gave -i pi at this pair and +i pi at
+        # its conjugate
+        rt = qsolver.biunitary_rt("induced_ginibre", alpha=0.5)
+        z1, z2 = (-0.6726384944604337 + 0.435976578914115j,
+                  0.8958361727505727 + 0.26194504195065027j)
+        for pair in ((z1, z2), (np.conj(z1), np.conj(z2))):
+            assert qsolver.wheel_from_points(rt, *pair).imag == -math.pi
 
     def test_wheel_vanishes_far_outside(self):
         rt = qsolver.biunitary_rt("ginibre")
