@@ -172,8 +172,9 @@ def cmd_estimate(args):
         estimate = (estimators.estimate_density if args.what == "rho"
                     else estimators.estimate_o1)
         names = ["r"]
-        rows = _binned_rows(estimate(
-            samples, np.linspace(0.0, args.rmax, args.rbins + 1), config))
+        est = estimate(samples, np.linspace(0.0, args.rmax, args.rbins + 1),
+                       config)
+        rows = _binned_rows(est)
     elif args.what == "o2":
         if not args.pair:
             raise SystemExit(
@@ -185,22 +186,24 @@ def cmd_estimate(args):
                 raise SystemExit("--pair expects re1,im1,re2,im2")
             windows.append((complex(a[0], a[1]), complex(a[2], a[3])))
         names = ["re_z", "im_z", "re_w", "im_w"]
-        rows = _binned_rows(estimators.estimate_o2_windows(
-            samples, windows, args.half_width, config))
+        est = estimators.estimate_o2_windows(samples, windows,
+                                             args.half_width, config)
+        rows = _binned_rows(est)
     elif args.what == "hprod":
         names = ["re_z1", "im_z1", "re_z2", "im_z2"]
+        est = estimators.estimate_traced_resolvent_product(
+            samples, args.z1, args.z2, config)
         rows = _scalar_rows(
-            (args.z1.real, args.z1.imag, args.z2.real, args.z2.imag),
-            estimators.estimate_traced_resolvent_product(
-                samples, args.z1, args.z2, config))
+            (args.z1.real, args.z1.imag, args.z2.real, args.z2.imag), est)
     else:
         names = ["word1", "word2"]
-        rows = _scalar_rows(
-            (args.word1, args.word2),
-            estimators.estimate_trace_covariance(
-                samples, args.word1, args.word2, config))
+        est = estimators.estimate_trace_covariance(
+            samples, args.word1, args.word2, config)
+        rows = _scalar_rows((args.word1, args.word2), est)
     _write_table(args.out or os.path.join(args.indir, f"{args.what}.csv"),
                  f"manifest {manifest.params_hash()}", names, rows)
+    if est.rejections:
+        print(f"sampler rejections: {est.rejections}")
     return 0
 
 

@@ -63,7 +63,11 @@ class EstimatorConfig:
 
 @dataclass
 class BinnedEstimate:
-    """Binned estimate with batch-means standard errors."""
+    """Binned estimate with batch-means standard errors.
+
+    ``n_dropped`` counts the near-defective samples left out, and
+    ``rejections`` the draws the samplers rejected and regenerated.
+    """
 
     centers: np.ndarray
     estimate: np.ndarray
@@ -71,13 +75,17 @@ class BinnedEstimate:
     count: np.ndarray
     n_samples: int
     n_dropped: int = 0
+    rejections: int = 0
 
 
 @dataclass
 class ScalarEstimate:
+    """Scalar estimate; ``rejections`` as for :class:`BinnedEstimate`."""
+
     value: complex
     stderr: float
     n_samples: int
+    rejections: int = 0
 
 
 def _batch_stats(batch_values, batch_weights=None):
@@ -127,11 +135,12 @@ def _batch_means(contributions, n_batches):
 def _loop_batch_means(samples, config, work, contribution):
     """:func:`_batch_means` of ``contribution(work(x))`` over the samples:
     ``work`` runs in a :class:`MonteCarloLoop`, ``contribution`` on the
-    calling thread.  Returns ``(mean, stderr, count, n_used, n_dropped)``.
+    calling thread.  Returns ``(mean, stderr, count, n_used, n_dropped,
+    rejections)``.
     """
     loop = MonteCarloLoop(samples, work)
     return (*_batch_means((contribution(r) for _, r in loop),
-                          config.n_batches), loop.n_dropped)
+                          config.n_batches), loop.n_dropped, loop.rejections)
 
 
 def _radial(samples, radial_edges, config, o1):
@@ -148,13 +157,13 @@ def _radial(samples, radial_edges, config, o1):
                                weights=diagonal_overlaps(es).real)
         return mass / es.n ** 2, count
 
-    mean, err, count, n_used, n_dropped = _loop_batch_means(
+    mean, err, count, n_used, n_dropped, rejections = _loop_batch_means(
         samples, config, eig_biorthogonal, contribution)
     if count.sum() == 0:
         warnings.warn("no eigenvalues fell into the declared bins")
     centers = 0.5 * (edges[:-1] + edges[1:])
     return BinnedEstimate(centers[:, None], mean.real / areas, err / areas,
-                          count, n_used, n_dropped)
+                          count, n_used, n_dropped, rejections)
 
 
 def estimate_density(samples, radial_edges, config=EstimatorConfig()):
@@ -186,12 +195,12 @@ def estimate_density_real(samples, edges, config=EstimatorConfig()):
         count, _ = np.histogram(lam.real[real_mask], bins=edges)
         return count / es.n, count
 
-    mean, err, count, n_used, n_dropped = _loop_batch_means(
+    mean, err, count, n_used, n_dropped, rejections = _loop_batch_means(
         samples, config, eig_biorthogonal, contribution)
     widths = np.diff(edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     out = BinnedEstimate(centers[:, None], mean.real / widths, err / widths,
-                         count, n_used, n_dropped)
+                         count, n_used, n_dropped, rejections)
     out.complex_fraction = n_complex / max(n_total, 1)
     return out
 
@@ -248,11 +257,12 @@ def estimate_o2_windows(samples, windows, half_width,
             count[i] = np.count_nonzero(mask & keep)
         return value / (es.n * area ** 2), count
 
-    mean, err, count, n_used, n_dropped = _loop_batch_means(
+    mean, err, count, n_used, n_dropped, rejections = _loop_batch_means(
         samples, config, eig_with_overlaps, contribution)
     centers = np.array([[z.real, z.imag, w.real, w.imag]
                         for z, w in windows])
-    return BinnedEstimate(centers, mean, err, count, n_used, n_dropped)
+    return BinnedEstimate(centers, mean, err, count, n_used, n_dropped,
+                          rejections)
 
 
 def estimate_o2_real_pairs(samples, edges, config=EstimatorConfig()):
@@ -274,12 +284,12 @@ def estimate_o2_real_pairs(samples, edges, config=EstimatorConfig()):
         hist.accumulate(x[k], x[l], o[k, l] / es.n)
         return hist.weight, hist.count
 
-    mean, err, count, n_used, n_dropped = _loop_batch_means(
+    mean, err, count, n_used, n_dropped, rejections = _loop_batch_means(
         samples, config, eig_with_overlaps, contribution)
     centers = 0.5 * (edges[:-1] + edges[1:])
     out = BinnedEstimate(
         np.array([[a, b] for a in centers for b in centers]),
-        mean / areas, err / areas, count, n_used, n_dropped)
+        mean / areas, err / areas, count, n_used, n_dropped, rejections)
     out.grid_centers = centers
     out.grid_estimate = out.estimate
     out.grid_stderr = out.stderr
@@ -315,9 +325,9 @@ def estimate_traced_resolvent_product(samples, z1, z2,
             warned = True
         return value, 1
 
-    mean, err, _, n_used, _ = _loop_batch_means(samples, config, work,
-                                                contribution)
-    return ScalarEstimate(complex(mean), float(err), n_used)
+    mean, err, _, n_used, _, rejections = _loop_batch_means(
+        samples, config, work, contribution)
+    return ScalarEstimate(complex(mean), float(err), n_used, rejections)
 
 
 def _word_trace(x, word):
@@ -356,7 +366,7 @@ def estimate_trace_covariance(samples, word1, word2,
         batch_cov.append(np.sum((t1 - t1.mean()) * (t2 - t2.mean()))
                          / (len(t1) - 1))
     mean, err = _batch_stats(np.array(batch_cov))
-    return ScalarEstimate(complex(mean), float(err), n)
+    return ScalarEstimate(complex(mean), float(err), n, loop.rejections)
 
 
 def sum_rule_residual(x):

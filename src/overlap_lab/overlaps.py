@@ -11,12 +11,19 @@ estimator and ``overlap-lab sample`` pull their samples through it, so
 a near-defective draw is dropped and counted in one place.  It runs a
 per-sample function given by the caller (a decomposition, a pair of
 resolvents, word traces) on a bounded window of ``WORKERS`` samples in
-flight on a thread pool (LAPACK and BLAS run without the GIL) and hands
-the results back in pull order; the functions are pure, so the window
-changes no result.  ``WORKERS`` is the number of usable cores divided by
-the BLAS thread count (``OPENBLAS_NUM_THREADS``, else
-``OMP_NUM_THREADS``, else all cores), so an unpinned BLAS gets one
-worker.
+flight on a thread pool and hands the results back in pull order; the
+functions are pure, so the window changes no result.  The window
+overlaps only work that releases the GIL: ``np.linalg.eig``, ``inv`` and
+the BLAS products, which make up :func:`eig_biorthogonal`,
+:func:`eig_with_overlaps`, the resolvent pair and the word traces.  Not
+all of LAPACK does: ``np.linalg.eigvals``, ``np.linalg.cond`` (the SVD
+that :func:`eig_biorthogonal` runs past its bound) and the
+``scipy.linalg.lapack`` wrappers hold the GIL, and two threads of them
+ran at 0.85-0.91x the throughput of one (N = 100, one BLAS thread,
+2 cores) against 1.7-1.9x for ``np.linalg.eig``.  ``WORKERS`` is the
+number of usable cores divided by the BLAS thread count
+(``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else all cores), so
+an unpinned BLAS gets one worker.
 
 The CSV writers take per-sample column blocks (:class:`EigenBlock`,
 :class:`PairBlock`) and format them in one pass.  The layout of

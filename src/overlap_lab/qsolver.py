@@ -14,7 +14,6 @@ Kronecker product ``G(Q) (x) G(P)^T`` and the eigenvector component of
 interest sits at position ``[1, 1]``.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -93,23 +92,35 @@ class GreenResult:
     z: complex = 0.0
 
 
+@dataclass(frozen=True)
+class _GreenStack:
+    """Green's functions ``g`` (..., 2, 2) at the spectral points ``z`` of
+    one solve.  Indexing selects points, so a sweep's pairs are index
+    arrays into the one stack of its distinct points."""
+
+    g: np.ndarray
+    z: np.ndarray
+
+    def __getitem__(self, index):
+        return _GreenStack(self.g[index], self.z[index])
+
+
 def _quaternion(g11, off=0j):
-    """On-shell Green's function ``[[g11, off], [off, conj(g11)]]``."""
-    return np.array([[g11, off], [off, np.conj(g11)]], dtype=complex)
-
-
-def _sqrt_towards(value, reference):
-    """Square root branch whose real inner product with reference is >= 0."""
-    s = cmath.sqrt(value)
-    if (s * reference.conjugate()).real < 0:
-        s = -s
-    return s
+    """On-shell Green's functions ``[[g11, off], [off, conj(g11)]]``,
+    one (2, 2) block per point of ``g11``."""
+    q = np.empty(np.shape(g11) + (2, 2), dtype=complex)
+    q[..., 0, 0] = g11
+    q[..., 0, 1] = q[..., 1, 0] = off
+    q[..., 1, 1] = np.conj(g11)
+    return q
 
 
 def _elliptic_g_holo(sigma, tau, z):
+    """Holomorphic elliptic g(z), the square-root branch taken towards z."""
     if abs(tau) < 1e-14:
         return 1.0 / z
-    s = _sqrt_towards(z * z - 4.0 * sigma ** 2 * tau, z)
+    s = np.sqrt(z * z - 4.0 * sigma ** 2 * tau)
+    s = np.where((s * np.conj(z)).real < 0, -s, s)
     return (z - s) / (2.0 * sigma ** 2 * tau)
 
 
@@ -191,6 +202,62 @@ def qs_green_scalar(z, m, gamma):
     return _track_cubic_roots(_qs_cubic_coeffs(m, gamma), [complex(z)])[0]
 
 
+def _solve_stack(rt, z):
+    """Green's functions at the 1-D array of points ``z``, in one pass.
+
+    Returns the :class:`_GreenStack` and the mask of the points in the
+    nonholomorphic (inside) regime.  Every operation acts elementwise on
+    the stack (the cubic kinds track all points in one
+    :func:`_track_cubic_roots` call), so a point's Green's function does
+    not depend on the other points; an invalid point raises for the
+    whole stack what :func:`solve_green` raises for it alone.
+    """
+    z = np.asarray(z, dtype=complex)
+    inside = np.zeros(z.shape, dtype=bool)
+    off = np.zeros(z.shape, dtype=complex)
+    if rt.kind == "elliptic":
+        sigma, tau = rt.sigma, rt.tau
+        inside = _elliptic_inside(sigma, tau, z)
+        g11 = np.empty_like(z)
+        g11[~inside] = _elliptic_g_holo(sigma, tau, z[~inside])
+        zi = z[inside]
+        s2 = sigma ** 2
+        g11[inside] = (np.conj(zi) - zi * tau) / (s2 * (1.0 - tau ** 2))
+        rad = 1.0 - (np.abs(zi - np.conj(zi) * tau) ** 2
+                     / (s2 * (1.0 - tau ** 2) ** 2))
+        off[inside] = 1j * np.sqrt(np.maximum(rad, 0.0)) / sigma
+    elif rt.kind.startswith("biunitary_"):
+        fspec = rt.fspec
+        r = np.abs(z)
+        f = fspec(r)
+        origin = r == 0.0
+        inside = ((fspec.r_in < r) & (r < fspec.r_out)
+                  | origin & (fspec.r_in == 0.0))
+        # zero inside the hole and at the origin, 1/z outside
+        g11 = np.where(origin, 0j, f / np.where(origin, 1.0, z))
+        o1 = _o1_at(f, np.where(origin, 1.0, r))
+        if np.any(origin & inside):
+            o1_0 = o1_biunitary(fspec, 0.0)
+            if math.isinf(o1_0):
+                raise ValueError("O_1 diverges at the origin")
+            o1 = np.where(origin, o1_0, o1)
+        off[inside] = 1j * np.sqrt(np.maximum(math.pi * o1[inside], 0.0))
+    elif rt.kind == "pseudo_hermitian_product":
+        g11 = _pt_green(z)
+        inside = _pt_on_axis(z)
+    elif rt.kind == "quantum_scattering":
+        g11 = _track_cubic_roots(_qs_cubic_coeffs(rt.m, rt.gamma), z)
+        q = _quaternion(g11)
+        # 1 - |g|^2 B^{11}_{bb}(z, zbar) <= 0, the ladder's pole: inside
+        if np.any((np.abs(g11) ** 2 * build_rung(rt, q, q)[..., 1, 1]).real
+                  >= 1.0):
+            raise ValueError("quantum_scattering point inside the spectrum, "
+                             "where no nonholomorphic solution is known")
+    else:
+        raise ValueError(f"unsupported R-transform kind {rt.kind!r}")
+    return _GreenStack(_quaternion(g11, off), z), inside
+
+
 def solve_green(rt, z):
     """Quaternionic Green's function at spectral point z (w -> 0 taken).
 
@@ -198,42 +265,13 @@ def solve_green(rt, z):
     fell in the holomorphic (outside) or nonholomorphic (inside) regime.
     The origin of a single ring without a hole takes the bulk limit
     G_11 = 0, G_1b = i sqrt(pi O_1(0)); where O_1(0) diverges
-    (product_ginibre) it raises ValueError.
+    (product_ginibre) it raises ValueError.  This is the stack of one of
+    the solve that the sweeps run on all their points at once.
     """
     z = complex(z)
-    if rt.kind == "elliptic":
-        sigma, tau = rt.sigma, rt.tau
-        if not _elliptic_inside(sigma, tau, z):
-            return GreenResult(_quaternion(_elliptic_g_holo(sigma, tau, z)),
-                               "holomorphic", z)
-        s2 = sigma ** 2
-        denom = s2 * (1.0 - tau ** 2)
-        g11 = (np.conj(z) - z * tau) / denom
-        rad = 1.0 - abs(z - np.conj(z) * tau) ** 2 / (s2 * (1.0 - tau ** 2) ** 2)
-        off = 1j * math.sqrt(max(rad, 0.0)) / sigma
-        return GreenResult(_quaternion(g11, off), "nonholomorphic", z)
-    if rt.kind.startswith("biunitary_"):
-        fspec = rt.fspec
-        r = abs(z)
-        g = fspec(r) / z if r else 0j  # zero inside the hole, 1/z outside
-        if fspec.r_in < r < fspec.r_out or r == fspec.r_in == 0.0:
-            o1 = o1_biunitary(fspec, r)
-            if math.isinf(o1):
-                raise ValueError("O_1 diverges at the origin")
-            off = 1j * math.sqrt(max(math.pi * o1, 0.0))
-            return GreenResult(_quaternion(g, off), "nonholomorphic", z)
-        return GreenResult(_quaternion(g), "holomorphic", z)
-    if rt.kind == "pseudo_hermitian_product":
-        return GreenResult(_quaternion(pt_green_scalar(z)), "nonholomorphic"
-                           if _pt_on_axis(z) else "holomorphic", z)
-    if rt.kind == "quantum_scattering":
-        q = _quaternion(qs_green_scalar(z, rt.m, rt.gamma))
-        # 1 - |g|^2 B^{11}_{bb}(z, zbar) <= 0, the ladder's pole: inside
-        if (abs(q[0, 0]) ** 2 * build_rung(rt, q, q)[1, 1]).real >= 1.0:
-            raise ValueError("quantum_scattering point inside the spectrum, "
-                             "where no nonholomorphic solution is known")
-        return GreenResult(q, "holomorphic", z)
-    raise ValueError(f"unsupported R-transform kind {rt.kind!r}")
+    green, inside = _solve_stack(rt, np.array([z]))
+    return GreenResult(green.g[0], "nonholomorphic" if inside[0]
+                       else "holomorphic", z)
 
 
 def o1_from_green(green):
@@ -245,58 +283,77 @@ def o1_from_green(green):
 
 
 def _x_and_a(fspec, r):
-    """``x = -pi O_1(r)`` and ``A = r^2/F(r)`` from one evaluation of F.
+    """``x = -pi O_1(r)`` and ``A = r^2/F(r)`` at an array of radii, from
+    one evaluation of F.
 
     A solves ``x A = F - 1`` (A(0) = 1/(pi O_1(0)), 0 if O_1 diverges).
     Outside the bulk (x = 0) A is not needed, since T multiplies that
     point's G_1b = 0, and 0 is returned.
     """
-    if r == 0.0:
-        o1 = o1_biunitary(fspec, 0.0)
-        return -math.pi * o1, (1.0 / (math.pi * o1) if o1 else 0.0)
+    r = np.asarray(r, dtype=float)
     f = fspec(r)
-    x = -math.pi * _o1_at(f, r)
-    return x, (r ** 2 / f if x else 0.0)
+    origin = r == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = -math.pi * _o1_at(f, r)
+        a = np.where(x != 0.0, r ** 2 / f, 0.0)
+    if np.any(origin):
+        o1 = o1_biunitary(fspec, 0.0)
+        x = np.where(origin, -math.pi * o1, x)
+        a = np.where(origin, 1.0 / (math.pi * o1) if o1 else 0.0, a)
+    return x, a
 
 
 def _s_t_functions(rt, r1, r2):
     """Auxiliary rung functions S and T of the determining sequence, and
-    det R = S^2 - x1 x2 T^2 of the rung block R of :func:`_ring_block`.
+    det R = S^2 - x1 x2 T^2 of the rung block R of :func:`_ring_block`,
+    at arrays of radii broadcast against each other.
 
     S = (x1 A1 - x2 A2)/(x1 - x2) and T = (A1 - A2)/(x1 - x2), taken
     along the radius (both induced_ginibre edges map to x = 0), with the
     equal-radius limit.  Both points outside the support give A(0) =
     r_out^2 and A'(0) = r_out^2 (2 r_out/F'(r_out) - r_out^2).  Where
     x1 = x2 at r1 != r2 (around a hole) S and T diverge, but det R =
-    (x1 A1^2 - x2 A2^2)/(x1 - x2) keeps its ratio to them exact.
+    (x1 A1^2 - x2 A2^2)/(x1 - x2) keeps its ratio to them exact.  The
+    three cases are masks over the pairs.
     """
     fspec = rt.fspec
+    shape = np.broadcast_shapes(np.shape(r1), np.shape(r2))
+    r1, r2 = (np.broadcast_to(np.asarray(r, dtype=float), shape).ravel()
+              for r in (r1, r2))
     x1, a1 = _x_and_a(fspec, r1)
     x2, a2 = _x_and_a(fspec, r2)
-    if max(abs(x1), abs(x2)) < 1e-12:
+    outside = np.maximum(np.abs(x1), np.abs(x2)) < 1e-12
+    equal = ~outside & (np.abs(r1 - r2) < 1e-7)
+    general = ~(outside | equal)
+    s, t, det = np.empty((3,) + r1.shape)
+    d = (x1 - x2)[general]
+    s[general] = (x1 * a1 - x2 * a2)[general] / d
+    t[general] = (a1 - a2)[general] / d
+    det[general] = (x1 * a1 ** 2 - x2 * a2 ** 2)[general] / d
+    if np.any(outside):
         r_out = fspec.r_out
         if not math.isfinite(r_out):
             raise ValueError("no exterior for an unbounded spectrum")
-        s = r_out ** 2
-        t = r_out ** 2 * (2.0 * r_out / fspec.df(r_out) - r_out ** 2)
-    elif abs(r1 - r2) < 1e-7:
-        rm = 0.5 * (r1 + r2)
+        s[outside] = r_out ** 2
+        t[outside] = r_out ** 2 * (2.0 * r_out / fspec.df(r_out)
+                                   - r_out ** 2)
+    if np.any(equal):
+        rm = 0.5 * (r1 + r2)[equal]
         xm, am = _x_and_a(fspec, rm)
         xp, ap = _x_and_a(fspec, rm + 1e-6)
         xn, an = _x_and_a(fspec, rm - 1e-6)
-        t = (ap - an) / (xp - xn)
-        s = am + xm * t
-    else:
-        d = x1 - x2
-        return ((x1 * a1 - x2 * a2) / d, (a1 - a2) / d,
-                (x1 * a1 ** 2 - x2 * a2 ** 2) / d)
-    return s, t, s * s - x1 * x2 * t * t
+        t[equal] = (ap - an) / (xp - xn)
+        s[equal] = am + xm * t[equal]
+    special = ~general
+    det[special] = (s * s - x1 * x2 * t * t)[special]
+    return s.reshape(shape), t.reshape(shape), det.reshape(shape)
 
 
 def _green_parts(g):
     """(..., 2, 2) array and spectral points (None for bare arrays) of a
-    Green's function, or of a sequence of them stacked."""
-    if isinstance(g, GreenResult):
+    Green's function, of a :class:`_GreenStack`, or of a sequence of
+    Green's functions stacked."""
+    if isinstance(g, (GreenResult, _GreenStack)):
         return g.g, g.z
     if isinstance(g, (list, tuple)):
         return np.array([q.g for q in g]), np.array([q.z for q in g])
@@ -312,13 +369,8 @@ def _ring_block(rt, gq, gp):
     if zq is None or zp is None:
         raise ValueError(
             "biunitary rung needs GreenResult inputs (radius-dependent)")
-    # S, T and det R depend on the two radii alone: once per distinct pair
-    radii = list(zip(map(abs, np.ravel(zq).tolist()),
-                     map(abs, np.ravel(zp).tolist())))
-    cache = {r: _s_t_functions(rt, *r) for r in dict.fromkeys(radii)}
-    s, t, det = np.array([cache[r] for r in radii]).T.reshape(
-        (3,) + np.shape(zq))
-    r = np.empty(np.shape(zq) + (2, 2), dtype=complex)
+    s, t, det = _s_t_functions(rt, np.abs(zq), np.abs(zp))
+    r = np.empty(np.shape(s) + (2, 2), dtype=complex)
     r[..., 0, 0] = r[..., 1, 1] = s   # B^{11}_{bb}, B^{bb}_{11}
     r[..., 0, 1] = qq[..., 0, 1] * qp[..., 0, 1] * t   # B^{1b}_{b1}
     r[..., 1, 0] = qq[..., 1, 0] * qp[..., 1, 0] * t   # B^{b1}_{1b}
@@ -444,13 +496,14 @@ def o2_from_k(rt, z1, z2):
     """Two-point eigenvector function via the Bethe-Salpeter pipeline.
 
     (1/pi^2) d/dzbar1 d/dz2 of K^{11}_{bb}.  The Green's function is
-    solved once at each of the 16 distinct points of the h and h/2
-    stencils, and the 32 ladders of the stencil pairs are resummed as one
-    stack by :func:`ladder`.  The stencils reach 2h from each point, so the
-    error grows like (h/|z1 - z2|)^4 near the pole at z1 = z2 (8e-2
-    relative at 4h, 1.3e-3 at 10h, 8e-5 at 20h).  A pair closer than 4h,
-    or a point within 4h of the origin where O_1 diverges (product_ginibre;
-    O_1 is finite at every r > 0), raises ValueError.
+    solved in one stack at the 16 distinct points of the h and h/2
+    stencils, and the 32 ladders of the stencil pairs, indexed into that
+    stack, are resummed as one stack by :func:`ladder`.  The stencils
+    reach 2h from each point, so the error grows like (h/|z1 - z2|)^4
+    near the pole at z1 = z2 (8e-2 relative at 4h, 1.3e-3 at 10h, 8e-5 at
+    20h).  A pair closer than 4h, or a point within 4h of the origin where
+    O_1 diverges (product_ginibre; O_1 is finite at every r > 0), raises
+    ValueError.
     """
     z1 = complex(z1)
     z2 = complex(z2)
@@ -461,10 +514,11 @@ def o2_from_k(rt, z1, z2):
             and math.isinf(o1_biunitary(rt.fspec, 0.0))):
         raise ValueError("point within 4h of the origin, where O_1 diverges")
     pairs = stencil_pairs(z1, z2)
-    green = {w: solve_green(rt, w)
-             for w in dict.fromkeys(w for pair in pairs for w in pair)}
-    q1, q2 = ([green[w] for w in ws] for ws in zip(*pairs))
-    k = ladder(rt, q1, q2)[0]
+    index = {w: i for i, w in enumerate(
+        dict.fromkeys(w for pair in pairs for w in pair))}
+    green = _solve_stack(rt, np.array(list(index)))[0]
+    i1, i2 = (np.array([index[w] for w in ws]) for ws in zip(*pairs))
+    k = ladder(rt, green[i1], green[i2])[0]
     k11 = dict(zip(pairs, k[:, 1, 1]))
     d = wirtinger_mixed_derivative(lambda w1, w2: k11[w1, w2], z1, z2)
     return d / math.pi ** 2
@@ -478,35 +532,29 @@ def h_holomorphic(rt, z1, z2bar):
     K^{11}_{bb} reduces to g1 g2 / (1 - g1 g2 B^{11}_{bb}) with g1 =
     g(z1) and g2 = conj g(z2), the resolvent of X+ at zbar2.  A point
     inside the spectrum or a single-ring hole (G = 0) raises ValueError.
-    ``z1`` and ``z2bar`` may be arrays, broadcast against each other; the
-    pseudohermitian product's g is tracked at all their points in one call.
+    ``z1`` and ``z2bar`` may be arrays, broadcast against each other; G
+    is solved at all their points in one stack.
     """
-    pt = rt.kind == "pseudo_hermitian_product"
-    if pt:
-        z1, z2 = np.asarray(z1, dtype=complex), np.conj(z2bar)
-        z = np.concatenate([z1.ravel(), np.ravel(z2)])
-        inside, g = np.any(_pt_on_axis(z)), _pt_green(z)
-        g1 = g[:z1.size].reshape(z1.shape)
-        g2 = np.conj(g[z1.size:]).reshape(np.shape(z2))
-    elif np.ndim(z1) or np.ndim(z2bar):
-        return np.vectorize(lambda a, b: h_holomorphic(rt, a, b))(z1, z2bar)
-    else:
-        q1 = solve_green(rt, z1)
-        q2 = solve_green(rt, np.conj(z2bar))
-        inside = any(q.branch != "holomorphic" or not q.g.any()
-                     for q in (q1, q2))
-        g1, g2 = q1.g[0, 0], q2.g[1, 1]
-    if inside:
+    z1 = np.asarray(z1, dtype=complex)
+    z2 = np.conj(np.asarray(z2bar, dtype=complex))
+    green, inside = _solve_stack(rt, np.concatenate([z1.ravel(),
+                                                     z2.ravel()]))
+    if np.any(inside) or not np.all(green.g[:, 0, 0]):
         raise ValueError("h_holomorphic needs both points outside the "
                          "spectrum and any hole")
+    q1, q2 = (green[i] for i in np.broadcast_arrays(
+        np.arange(z1.size).reshape(z1.shape),
+        z1.size + np.arange(z2.size).reshape(z2.shape)))
+    g1, g2 = q1.g[..., 0, 0], q2.g[..., 1, 1]
     # B^{11}_{bb}; the pseudohermitian product has no 4x4 rung to take it
     # from (build_rung refuses it), so its one component is written out
     b = ((-3.0 + g1 + g2 + g1 * g2) ** 2 / ((1.0 - g1) ** 2 * (1.0 - g2) ** 2)
-         if pt else build_rung(rt, q1, q2)[1, 1])
+         if rt.kind == "pseudo_hermitian_product"
+         else build_rung(rt, q1, q2)[..., 1, 1])
     den = 1.0 - g1 * g2 * b
     if np.any(np.abs(den) < 1e-13):
         raise ZeroDivisionError("pole of the two-point resolvent product")
-    return g1 * g2 / den
+    return (g1 * g2 / den)[()]
 
 
 def _neville_to_zero(eps, vals):
@@ -559,7 +607,8 @@ def _wheel(rt, gq, gp):
 
 def wheel_from_points(rt, z1, z2):
     """Wheel generating function at two spectral points."""
-    return _wheel(rt, solve_green(rt, z1), solve_green(rt, z2))
+    green = _solve_stack(rt, np.array([complex(z1), complex(z2)]))[0]
+    return _wheel(rt, green[0], green[1])
 
 
 def wheel_word_covariance(rt, p, q):
@@ -569,18 +618,18 @@ def wheel_word_covariance(rt, p, q):
     ``sum_{p,q} cov(Tr X^p, Tr X+^q)/(p q) z1^{-p} zbar2^{-q}`` far
     outside the spectrum; the coefficient is extracted by a double
     Fourier transform over the circles ``z1 = R e^{i theta}``,
-    ``zbar2 = R e^{i phi}``.  G is solved once at each circle point, and
-    one :func:`ladder` call resums all point pairs as a stack.  A circle
-    that crosses the spectrum (quantum_scattering at the default radius)
-    raises ValueError.
+    ``zbar2 = R e^{i phi}``.  G is solved in one stack at the circle
+    points, and one :func:`ladder` call resums all point pairs, indexed
+    into that stack.  A circle that crosses the spectrum
+    (quantum_scattering at the default radius) raises ValueError.
     """
-    thetas = 2.0 * math.pi * np.arange(WHEEL_N_THETA) / WHEEL_N_THETA
-    circle = [solve_green(rt, WHEEL_RADIUS * np.exp(1j * th)) for th in thetas]
+    k = np.arange(WHEEL_N_THETA)
+    thetas = 2.0 * math.pi * k / WHEEL_N_THETA
+    circle = _solve_stack(rt, WHEEL_RADIUS * np.exp(1j * thetas))[0]
     # zbar2 = R e^{i phi_k}, so z2 = R e^{-i phi_k} is circle point -k
-    rows = [a for a in circle for _ in circle]
-    cols = [circle[-k] for k in range(WHEEL_N_THETA)] * WHEEL_N_THETA
-    vals = _wheel(rt, rows, cols)
+    rows, cols = np.broadcast_arrays(k[:, None], -k % WHEEL_N_THETA)
+    vals = _wheel(rt, circle[rows], circle[cols])
     # coefficient of e^{-i p theta} e^{-i q phi}
     phase = np.exp(1j * (p * thetas[:, None] + q * thetas[None, :]))
-    coeff = np.sum(vals.reshape(phase.shape) * phase) / WHEEL_N_THETA ** 2
+    coeff = np.sum(vals * phase) / WHEEL_N_THETA ** 2
     return coeff * p * q * WHEEL_RADIUS ** (p + q)

@@ -251,6 +251,24 @@ class TestEstimate:
             main(["estimate", "o2", "--in", str(out)])
         assert "--pair re1,im1,re2,im2" in str(exc.value)
 
+    @pytest.mark.parametrize("what,opts", [
+        ("o1", ["--rbins", "4", "--rmax", "1.2"]),
+        ("tracecov", ["--word1", "X", "--word2", "X+"]),
+    ])
+    def test_rejections_printed(self, tmp_path, monkeypatch, capsys, what,
+                                opts):
+        out = run_sample(tmp_path, n=10, samples=4)
+        assert main(["estimate", what, "--in", str(out), *opts]) == 0
+        clean = capsys.readouterr().out
+        assert "sampler rejections" not in clean
+        draws = list(sample_many(EnsembleSpec("ginibre", 10), 7, 4))
+        monkeypatch.setattr(cli, "sample_many", lambda spec, seed, n: (
+            (k, x, {"rejections": 3}) for k, x, _ in draws))
+        table = (out / f"{what}.csv").read_bytes()
+        assert main(["estimate", what, "--in", str(out), *opts]) == 0
+        assert "sampler rejections: 12" in capsys.readouterr().out
+        assert (out / f"{what}.csv").read_bytes() == table
+
     def test_estimate_tag_matches_sample_tag(self, tmp_path):
         # the rejection count the sample run records must not enter the tag
         out = run_sample(tmp_path, n=10, samples=3)

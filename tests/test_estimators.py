@@ -147,6 +147,14 @@ class TestMonteCarloLoop:
         assert est.n_dropped == len(samples) - 4
 
     @pytest.mark.parametrize("name", list(ESTIMATORS))
+    def test_sampler_rejections_reported(self, name):
+        # every estimator dropped the samplers' rejection counts
+        samples = [(k, x, {"rejections": 2})
+                   for k, x, _ in ginibre_samples(12, 5, seed=3)]
+        assert ESTIMATORS[name](samples).rejections == 10
+        assert ESTIMATORS[name](ginibre_samples(12, 5, seed=3)).rejections == 0
+
+    @pytest.mark.parametrize("name", list(ESTIMATORS))
     def test_identical_at_one_and_two_workers(self, name, monkeypatch):
         jordan = np.eye(12, k=1) + 0.5 * np.eye(12)
         good = ginibre_samples(12, 9, seed=4)

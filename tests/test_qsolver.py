@@ -169,6 +169,58 @@ class TestStackedTracker:
                                    [complex(x, 1e-12), x + 1e-3j])
 
 
+RING_RADII = [0.0, 0.3, 0.5 ** 0.5, 0.7, 0.999, 1.0, 1.3, 2.5]
+RING_KINDS = [("ginibre", {}), ("induced_ginibre", {"alpha": 0.5}),
+              ("truncated_unitary", {"kappa": 1.0}), ("spherical", {}),
+              ("product_ginibre", {})]
+# points of both regimes per kind, with the edges and the origin where
+# valid (product_ginibre raises there)
+STACK_POINTS = {
+    "elliptic": (qsolver.elliptic_rt(1.0, 0.5),
+                 [0.0, 0.3 + 0.2j, 1.49, 1.6, -0.4 - 0.45j, 4.0, 2.0 - 3.0j]),
+    "elliptic_circular": (qsolver.elliptic_rt(1.0, 0.0),
+                          [0.0, 0.5j, 0.99, 1.0, 1.7 - 0.2j]),
+    "pseudo_hermitian_product": (qsolver.pseudo_hermitian_rt(),
+                                 [0.5, 2.0, 8.0, 12.0, -1.0, 3.0 + 1e-3j,
+                                  6.0 - 2.0j, 20.0]),
+    "quantum_scattering": (qsolver.quantum_scattering_rt(m=1.5, gamma=0.8),
+                           list(QS_PAIR) + [5.0, 4.0 + 3.0j, 1.0 - 3.0j,
+                                            -0.5j, 3.5j]),
+    **{kind: (qsolver.biunitary_rt(kind, **kw),
+              [r * np.exp(1j * th) for r in RING_RADII for th in (0.0, 2.1)
+               if r or kind != "product_ginibre"])
+       for kind, kw in RING_KINDS},
+}
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("kind", sorted(STACK_POINTS))
+    def test_solve_green_is_stack_of_one(self, kind):
+        rt, points = STACK_POINTS[kind]
+        green, inside = qsolver._solve_stack(rt, np.array(points))
+        # both regimes are covered (the spherical bulk is the plane)
+        assert inside.any() or kind == "quantum_scattering"
+        assert not inside.all() or kind == "spherical"
+        for i, z in enumerate(points):
+            one = qsolver.solve_green(rt, z)
+            assert one.g.tobytes() == green.g[i].tobytes()
+            assert one.branch == ("nonholomorphic" if inside[i]
+                                  else "holomorphic")
+
+    @pytest.mark.parametrize("rt,points,bad", [
+        (qsolver.biunitary_rt("product_ginibre"), [0.5, 0.3j], 0.0),
+        (qsolver.quantum_scattering_rt(m=1.5, gamma=0.8), [5.0, -0.5j], 1j),
+        (qsolver.pseudo_hermitian_rt(), [3.0 + 1j, 2.0], 0.0),
+    ], ids=["product_ginibre_origin", "qs_inside", "pt_exceptional"])
+    def test_invalid_point_raises_for_stack(self, rt, points, bad):
+        with pytest.raises(ValueError) as scalar:
+            qsolver.solve_green(rt, bad)
+        with pytest.raises(ValueError) as stacked:
+            qsolver._solve_stack(rt, np.array(points[:1] + [bad]
+                                              + points[1:], dtype=complex))
+        assert str(stacked.value) == str(scalar.value)
+
+
 class TestQuantumScatteringSupport:
     RT = qsolver.quantum_scattering_rt(m=1.5, gamma=0.8)
 
@@ -277,12 +329,12 @@ class TestPipeline:
     ], ids=["ginibre", "elliptic", "quantum_scattering"])
     def test_stencil_points_solved_once(self, monkeypatch, rt, z1, z2):
         # the h and h/2 stencils share 16 points among their 32 pairs
-        calls = []
-        solve = qsolver.solve_green
-        monkeypatch.setattr(qsolver, "solve_green",
-                            lambda rt, z: calls.append(z) or solve(rt, z))
+        points = []
+        solve = qsolver._solve_stack
+        monkeypatch.setattr(qsolver, "_solve_stack", lambda rt, z: (
+            points.extend(z.tolist()) or solve(rt, z)))
         qsolver.o2_from_k(rt, z1, z2)
-        assert len(calls) == len(set(calls)) == 16
+        assert len(points) == len(set(points)) == 16
 
     @pytest.mark.parametrize("rt,z1,z2", [
         (qsolver.biunitary_rt("induced_ginibre", alpha=0.5), 0.9, 1.1j),
@@ -558,19 +610,19 @@ class TestWheel:
 
     def test_circle_solved_once(self, monkeypatch):
         # z2 = R e^{-i phi_k} is circle point -k: one solve per point
-        calls = []
-        solve = qsolver.solve_green
-        monkeypatch.setattr(qsolver, "solve_green",
-                            lambda rt, z: calls.append(z) or solve(rt, z))
+        points = []
+        solve = qsolver._solve_stack
+        monkeypatch.setattr(qsolver, "_solve_stack", lambda rt, z: (
+            points.extend(z.tolist()) or solve(rt, z)))
         qsolver.wheel_word_covariance(qsolver.biunitary_rt("ginibre"), 1, 1)
-        assert len(calls) == qsolver.WHEEL_N_THETA
+        assert len(points) == len(set(points)) == qsolver.WHEEL_N_THETA
 
     def test_one_determinant_call(self, monkeypatch):
         # the determinants of all circle pairs come from one stacked ladder
         calls = []
         ladder = qsolver.ladder
         monkeypatch.setattr(qsolver, "ladder", lambda rt, gq, gp: (
-            calls.append((len(gq), len(gp))) or ladder(rt, gq, gp)))
+            calls.append((gq.z.size, gp.z.size)) or ladder(rt, gq, gp)))
         qsolver.wheel_word_covariance(qsolver.biunitary_rt("ginibre"), 1, 1)
         assert calls == [(qsolver.WHEEL_N_THETA ** 2,) * 2]
 
