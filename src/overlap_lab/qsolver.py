@@ -124,25 +124,64 @@ def _elliptic_g_holo(sigma, tau, z):
     return (z - s) / (2.0 * sigma ** 2 * tau)
 
 
+_CUBE_UNITY = np.exp(2j * math.pi / 3.0) ** np.arange(3)
+
+
+def _cubic_roots(a, b, c, d):
+    """The three roots (..., 3) of a g^3 + b g^2 + c g + d = 0, elementwise.
+
+    Complex Cardano: C is the cube root of (D1 + s)/2, s = sqrt(D1^2 -
+    4 D0^3) taken with the sign that gives the larger |D1 + s|, and the
+    roots are -(b + C xi^k + D0/(C xi^k))/(3a) for the cube roots of
+    unity xi^k.  C = 0 only at a triple root, -b/(3a).  Two Newton steps
+    polish every root.  A step is kept only where it lowers |f(g)|, so
+    next to a double root, where f'(g) is about 0 and Cardano is only
+    sqrt(eps)-accurate, a root never jumps away; where f'(g) = 0 no
+    division occurs.
+    """
+    a, b, c, d = (np.asarray(v, dtype=complex)[..., None]
+                  for v in (a, b, c, d))
+    d0 = b * b - 3.0 * a * c
+    d1 = (2.0 * b * b - 9.0 * a * c) * b + 27.0 * a * a * d
+    s = np.sqrt(d1 * d1 - 4.0 * d0 ** 3)
+    w = np.where(np.abs(d1 + s) >= np.abs(d1 - s), d1 + s, d1 - s)
+    ck = (0.5 * w) ** (1.0 / 3.0) * _CUBE_UNITY
+    triple = ck == 0.0
+    g = np.where(triple, -b, -(b + ck + d0 / np.where(triple, 1.0, ck)))
+    g = g / (3.0 * a)
+
+    def poly(g):
+        return ((a * g + b) * g + c) * g + d
+
+    f = poly(g)
+    for _ in range(2):
+        fp = (3.0 * a * g + 2.0 * b) * g + c
+        flat = fp == 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            g_new = g - f / np.where(flat, 1.0, fp)
+            f_new = poly(g_new)
+            better = ~flat & (np.abs(f_new) < np.abs(f))
+        g = np.where(better, g_new, g)
+        f = np.where(better, f_new, f)
+    return g
+
+
 def _track_cubic_roots(coeff_func, targets):
     """Follow the 1/z root of a parametric cubic from far away to each target.
 
     Continuation runs along the straight segment from
     ``Re(z) + i sign(Im z) TRACK_FAR`` down to the target, which never
     crosses a real spectrum for targets off (or just off) the real axis.
-    The companion matrices of every step of every target form one
-    ``(P, TRACK_STEPS - 1, 3, 3)`` stack whose eigenvalues are the roots
-    ``np.roots`` gives; the nearest-root rule then walks each path.
+    The cubics of every step of every target form one
+    ``(P, TRACK_STEPS - 1)`` stack whose roots :func:`_cubic_roots`
+    gives in closed form, as array operations; the nearest-root rule
+    then walks each path.
     """
     targets = np.asarray(targets, dtype=complex)
     z0 = targets.real + 1j * np.where(targets.imag >= 0, TRACK_FAR, -TRACK_FAR)
     t = np.linspace(0.0, 1.0, TRACK_STEPS)[1:]
     z = z0[:, None] + t * (targets - z0)[:, None]
-    c = np.stack(np.broadcast_arrays(*coeff_func(z)), axis=-1)
-    companion = np.zeros(z.shape + (3, 3), dtype=complex)
-    companion[..., 0, :] = -c[..., 1:] / c[..., :1]
-    companion[..., 1, 0] = companion[..., 2, 1] = 1.0
-    roots = np.linalg.eigvals(companion)
+    roots = _cubic_roots(*coeff_func(z))
     g = 1.0 / z0
     path = np.arange(len(targets))
     for step in np.moveaxis(roots, 1, 0):

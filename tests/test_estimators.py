@@ -2,6 +2,7 @@
 
 import math
 import threading
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -366,6 +367,18 @@ class TestTraceCovariance:
         xh = g.conj().T
         assert estimators._word_trace(g, "XX") == np.trace(g @ g) / 9
         assert estimators._word_trace(g, "X+X+") == np.trace(xh @ xh) / 9
+
+    @pytest.mark.parametrize("length", range(5))
+    def test_word_trace_matches_full_product(self, length):
+        # every word of the length, against matmul of all letters then trace
+        (_, g, _), = ginibre_samples(30, 1, seed=4)
+        for bits in range(2 ** length):
+            letters = ["X+" if bits >> k & 1 else "X" for k in range(length)]
+            ref = np.trace(reduce(np.matmul, [
+                g.conj().T if t == "X+" else g for t in letters],
+                np.eye(30))) / 30
+            got = estimators._word_trace(g, "".join(letters))
+            assert abs(got - ref) <= 1e-13 * max(abs(ref), 1.0)
 
     def test_ginibre_first_moment_covariance(self):
         n = 50

@@ -2,6 +2,7 @@
 machinery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,7 +126,8 @@ class TestScalarGreens:
 
 
 def serial_track(coeff_func, z_target):
-    """The np.roots homotopy one step at a time: the tracker's reference."""
+    """The np.roots homotopy one step at a time, from LAPACK's
+    companion-matrix eigenvalues: the tracker's accuracy oracle."""
     s = 1.0 if z_target.imag >= 0 else -1.0
     z0 = complex(z_target.real, s * qsolver.TRACK_FAR)
     g = 1.0 / z0
@@ -136,18 +138,40 @@ def serial_track(coeff_func, z_target):
     return g
 
 
+def scaled_residual(coeff_func, z, g):
+    """|f(g)| over the sum of the magnitudes of f's terms at g."""
+    c = np.broadcast_arrays(*coeff_func(np.asarray(z)))
+    terms = [ck * g ** (3 - k) for k, ck in enumerate(c)]
+    return np.abs(sum(terms)) / sum(np.abs(term) for term in terms)
+
+
 QS_PAIR = (-1.137 - 0.201j, -1.121 - 0.502j)
 # O_1(0.9227) = O_1(0.9381) for induced_ginibre alpha=0.5: the single
 # ring's rung grows like 1/(x1 - x2) at this pair (|T| ~ 3.5e3)
 EQUAL_O1_PAIR = (-0.06342816491394528 + 0.920540934630426j,
                  -0.8718494645803783 + 0.34615481444249896j)
+# targets within 1e-8 to 1e-2 of the double root at PT_EDGE, both sides,
+# and PT_EDGE itself, where Cardano is only sqrt(eps)-accurate and f'(g)
+# nearly vanishes: an unguarded Newton step jumped 6e-3 away there
+PT_EDGE_TARGETS = [qsolver.PT_EDGE] + [
+    qsolver.PT_EDGE + side * d + 1j * im
+    for side in (-1.0, 1.0) for d in (1e-8, 1e-6, 1e-4, 1e-2)
+    for im in (1e-12, -1e-12, 1e-9, -1e-9, 1e-3, -1e-3)]
+# quantum scattering m = 1.5, gamma = 0.8 down to the real axis; Re z = 0
+# is left out, since there two roots meet on the path inside the spectrum
+# (at z ~ 3.37i) and rounding alone picks the branch below
+QS_GRID = [x + 1j * y for x in np.linspace(-3.75, 3.75, 16)
+           for y in (-2.0, -0.5, -1e-3, -1e-9, 1e-9, 1e-3, 0.5, 2.0, 4.0)]
 
 
 class TestStackedTracker:
     def assert_matches_serial(self, coeff_func, targets):
         got = qsolver._track_cubic_roots(coeff_func, targets)
-        ref = [serial_track(coeff_func, complex(z)) for z in targets]
-        assert np.array_equal(got, ref)
+        ref = np.array([serial_track(coeff_func, complex(z)) for z in targets])
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+        # a point's root does not depend on the other points of the stack
+        one = [qsolver._track_cubic_roots(coeff_func, [z])[0] for z in targets]
+        assert got.tobytes() == np.array(one).tobytes()
 
     def test_eps_ladder_targets(self):
         x, y = 1.475, 4.0
@@ -163,10 +187,57 @@ class TestStackedTracker:
 
     @pytest.mark.parametrize("x", [0.5, 2.0, 8.0])
     def test_on_axis_substitution(self, x):
-        ref = serial_track(qsolver._pt_cubic_coeffs, complex(x, 1e-12))
-        assert qsolver.pt_green_scalar(x) == ref
+        track = qsolver._track_cubic_roots(qsolver._pt_cubic_coeffs,
+                                           [complex(x, 1e-12)])[0]
+        assert qsolver.pt_green_scalar(x) == track
         self.assert_matches_serial(qsolver._pt_cubic_coeffs,
                                    [complex(x, 1e-12), x + 1e-3j])
+
+
+class TestCubicRoots:
+    def test_triple_root(self):
+        # (g - 1)^3: D0 = D1 = 0, so C = 0 and f'(1) = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            roots = qsolver._cubic_roots(1.0, -3.0, 3.0, -1.0)
+        assert roots.shape == (3,)
+        assert np.all(np.isfinite(roots))
+        assert np.all(np.abs(roots - 1.0) < 1e-12)
+
+    def test_matches_np_roots(self):
+        rng = np.random.default_rng(13)
+        coeffs = rng.standard_normal((50, 4)) + 1j * rng.standard_normal(
+            (50, 4))
+        roots = qsolver._cubic_roots(*coeffs.T)
+        for c, got in zip(coeffs, roots):
+            ref = np.roots(c)
+            # every reference root has a distinct partner among ours
+            dist = np.abs(got[:, None] - ref[None, :])
+            assert sorted(np.argmin(dist, axis=0)) == [0, 1, 2]
+            assert np.all(dist.min(axis=0) <= 1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("coeff_func,targets", [
+        (qsolver._pt_cubic_coeffs, PT_EDGE_TARGETS),
+        (qsolver._qs_cubic_coeffs(1.5, 0.8), QS_GRID),
+    ], ids=["pt_edge", "qs_grid"])
+    def test_tracked_branch_and_residual(self, coeff_func, targets):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = qsolver._track_cubic_roots(coeff_func, targets)
+        assert np.all(scaled_residual(coeff_func, np.array(targets), got)
+                      <= 1e-14)
+        ref = np.array([serial_track(coeff_func, complex(z)) for z in targets])
+        assert np.all(np.abs(got - ref) < 1e-6 * np.abs(ref))
+
+    def test_no_lapack_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvals called")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        rt = qsolver.pseudo_hermitian_rt()
+        assert math.isfinite(qsolver.o2_real_spectrum(rt, 1.475, 4.0))
+        qs = qsolver.quantum_scattering_rt(m=1.5, gamma=0.8)
+        assert np.isfinite(qsolver.o2_from_k(qs, *QS_PAIR))
 
 
 RING_RADII = [0.0, 0.3, 0.5 ** 0.5, 0.7, 0.999, 1.0, 1.3, 2.5]
