@@ -1,10 +1,13 @@
 """Biorthogonal eigendecomposition and Chalker-Mehlig overlap matrices.
 
-The left eigenvectors are obtained by inverting the right-eigenvector
-matrix, so biorthogonality ``<L_i|R_j> = delta_ij`` and completeness
-``sum_k R_k L_k = 1`` hold by construction up to inversion error.  As a
-consequence the row-sum identity ``sum_l O_kl = 1`` is exact per matrix
-and serves as the main numerical self-check.
+The overlap matrix does not change under a unitary change of basis, so
+:func:`eig_biorthogonal` works in the Schur basis X = Q T Q^H and never
+forms Q: the eigenvalues are diag T, the right eigenvectors are T's
+eigenvectors V and the left ones are the rows of V^-1, which LAPACK
+inverts as a triangular matrix.  Biorthogonality ``<L_i|R_j> = delta_ij``
+and completeness ``sum_k R_k L_k = 1`` hold by construction up to
+inversion error.  As a consequence the row-sum identity ``sum_l O_kl =
+1`` is exact per matrix and serves as the main numerical self-check.
 
 :class:`MonteCarloLoop` is the Monte Carlo loop of the package: every
 estimator and ``overlap-lab sample`` pull their samples through it, so
@@ -13,17 +16,19 @@ per-sample function given by the caller (a decomposition, a pair of
 resolvents, word traces) on a bounded window of ``WORKERS`` samples in
 flight on a thread pool and hands the results back in pull order; the
 functions are pure, so the window changes no result.  The window
-overlaps only work that releases the GIL: ``np.linalg.eig``, ``inv`` and
-the BLAS products, which make up :func:`eig_biorthogonal`,
-:func:`eig_with_overlaps`, the resolvent pair and the word traces.  Not
-all of LAPACK does: ``np.linalg.eigvals``, ``np.linalg.cond`` (the SVD
-that :func:`eig_biorthogonal` runs past its bound) and the
-``scipy.linalg.lapack`` wrappers hold the GIL, and two threads of them
-ran at 0.85-0.91x the throughput of one (N = 100, one BLAS thread,
-2 cores) against 1.7-1.9x for ``np.linalg.eig``.  ``WORKERS`` is the
-number of usable cores divided by the BLAS thread count
-(``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else all cores), so
-an unpinned BLAS gets one worker.
+overlaps only work that releases the GIL.  The decomposition calls
+LAPACK's ``zgees``, ``ztrevc`` and ``ztrtri`` through ctypes, which
+drops the GIL for every foreign call, and ``np.linalg.inv`` and the
+BLAS products release it too; so :func:`eig_biorthogonal`,
+:func:`eig_with_overlaps`, the resolvent pair and the word traces run
+on both cores.  Not all of LAPACK does: ``np.linalg.eigvals``,
+``np.linalg.cond`` (the SVD that :func:`eig_biorthogonal` runs past its
+bound) and the ``scipy.linalg.lapack`` wrappers hold the GIL, and two
+threads of them ran at 0.85-0.91x the throughput of one (N = 100, one
+BLAS thread, 2 cores) against 1.7-1.9x for ``np.linalg.eig``.
+``WORKERS`` is the number of usable cores divided by the BLAS thread
+count (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else all
+cores), so an unpinned BLAS gets one worker.
 
 The CSV writers take per-sample column blocks (:class:`EigenBlock`,
 :class:`PairBlock`) and format them in one pass.  The layout of
@@ -34,6 +39,9 @@ those of a per-row writer loop.
 
 import collections
 import csv
+import ctypes
+import functools
+import glob
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -81,12 +89,16 @@ class NearDefectiveError(np.linalg.LinAlgError):
 class EigenSystem:
     """Eigenvalues with biorthogonal right/left eigenvector sets.
 
-    ``right[:, k]`` is the k-th right eigenvector (column), ``left[k, :]``
-    the k-th left eigenvector (row).  ``cond`` bounds the 2-norm
+    The vectors are in the Schur basis of X = Q T Q^H: ``right[:, k]`` is
+    the k-th eigenvector of T (a column of unit 2-norm), ``left[k, :]``
+    the k-th row of ``right``'s inverse, and X's own eigenvectors are
+    ``Q @ right`` and ``left @ Q^H``.  Overlaps, being invariant under
+    unitary changes of basis, are those of X.  ``cond`` bounds the 2-norm
     condition number of the right-eigenvector matrix from above by
     ``||R||_F ||L||_F``; where that bound exceeds ``COND_LIMIT`` it is
-    the exact 2-norm condition number.  ``residual`` is the largest
-    eigenequation residual relative to the Frobenius norm ``||X||_F``.
+    the exact 2-norm condition number.  Both are the same in either
+    basis.  ``residual`` is max|TV - V Lambda| relative to
+    ``max(||X||_F, 1)``.
     """
 
     eigenvalues: np.ndarray
@@ -100,39 +112,166 @@ class EigenSystem:
         return len(self.eigenvalues)
 
 
+# C prototypes of the scipy.linalg.cython_lapack capsules that _lapack
+# binds, with Cython's type-name prefixes taken out
+_PROTOTYPES = {
+    "zgees": "void (char *, char *, zselect1 *, int *, double_complex *, "
+             "int *, int *, double_complex *, double_complex *, int *, "
+             "double_complex *, int *, d *, int *, int *)",
+    "ztrevc": "void (char *, char *, int *, int *, double_complex *, int *, "
+              "double_complex *, int *, double_complex *, int *, int *, "
+              "int *, double_complex *, d *, int *)",
+    "ztrtri": "void (char *, char *, int *, double_complex *, int *, int *)",
+}
+_CYTHON_PREFIXES = ("__pyx_t_5scipy_6linalg_13cython_lapack_", "__pyx_t_")
+
+
+@functools.cache
+def _lapack():
+    """``zgees``, ``ztrevc`` and ``ztrtri`` of scipy's LAPACK as ctypes
+    functions, which release the GIL for the duration of the call.
+
+    Bound on first use, so that importing the package does not load
+    ``scipy.linalg``.  A capsule whose C prototype is not the expected one
+    raises ImportError instead of being called with the wrong arguments.
+    """
+    from scipy.linalg import cython_lapack
+
+    # private function objects: the shared ctypes.pythonapi ones keep
+    # whatever argument types other code gave them
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(
+        ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    funcs = {}
+    for name, expected in _PROTOTYPES.items():
+        capsule = cython_lapack.__pyx_capi__[name]
+        raw = get_name(capsule)
+        prototype = raw.decode()
+        for prefix in _CYTHON_PREFIXES:
+            prototype = prototype.replace(prefix, "")
+        if prototype != expected:
+            raise ImportError(f"scipy.linalg.cython_lapack.{name} has the "
+                              f"prototype {prototype!r}, not {expected!r}")
+        # every argument is a pointer
+        signature = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p]
+                                     * (expected.count(",") + 1))
+        funcs[name] = signature(get_pointer(capsule, raw))
+    _one_thread_scipy_openblas()
+    return funcs
+
+
+def _one_thread_scipy_openblas():
+    """Set the pool of the OpenBLAS bundled with scipy's wheels to one thread.
+
+    numpy's and scipy's wheels each carry an OpenBLAS, and each pool's
+    threads spin for a while after a call.  A decomposition alternates
+    between the two, LAPACK in scipy's and the products in numpy's, so
+    with both pools at two threads on 2 cores it ran 2-4x slower than
+    with scipy's at one (N = 100-200; a one-thread ``zgees`` was as fast
+    as a two-thread one).  Builds without that library share one BLAS
+    or manage their own threads and are left alone.
+    """
+    import scipy
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)),
+                        "scipy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        set_threads = getattr(ctypes.CDLL(path),
+                              "scipy_openblas_set_num_threads", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+
+
+def _schur(x):
+    """The upper triangular Schur factor T of ``x`` (Fortran order).
+
+    ``zgees`` without Schur vectors; it balances by permutation only, a
+    unitary change of basis, so T has the eigenvalues and overlaps of x.
+    """
+    t = np.array(x, dtype=complex, order="F")
+    n, sdim, info = ctypes.c_int(len(t)), ctypes.c_int(), ctypes.c_int()
+    w, rwork = np.empty(n.value, complex), np.empty(n.value)
+    bwork = np.empty(n.value, np.intc)
+
+    def zgees(work, lwork):
+        _lapack()["zgees"](
+            b"N", b"N", None, ctypes.byref(n), t.ctypes.data, ctypes.byref(n),
+            ctypes.byref(sdim), w.ctypes.data, None,
+            ctypes.byref(ctypes.c_int(1)), work.ctypes.data,
+            ctypes.byref(ctypes.c_int(lwork)), rwork.ctypes.data,
+            bwork.ctypes.data, ctypes.byref(info))
+
+    work = np.empty(1, complex)
+    zgees(work, -1)  # workspace query
+    work = np.empty(max(int(work[0].real), 1), complex)
+    zgees(work, len(work))
+    if info.value:
+        raise NearDefectiveError(f"zgees failed to converge (info "
+                                 f"{info.value})")
+    return t
+
+
+def _triangular_eigenvectors(t):
+    """Unit 2-norm eigenvectors V of an upper triangular ``t`` and V^-1.
+
+    V is upper triangular (``ztrevc``, no back-transform); ``ztrtri``
+    inverts it in place of a copy.
+    """
+    funcs = _lapack()
+    n, m, info = ctypes.c_int(len(t)), ctypes.c_int(), ctypes.c_int()
+    v = np.empty(t.shape, complex, order="F")
+    work, rwork = np.empty(2 * n.value, complex), np.empty(n.value)
+    funcs["ztrevc"](b"R", b"A", None, ctypes.byref(n), t.ctypes.data,
+                    ctypes.byref(n), None, ctypes.byref(n), v.ctypes.data,
+                    ctypes.byref(n), ctypes.byref(n), ctypes.byref(m),
+                    work.ctypes.data, rwork.ctypes.data, ctypes.byref(info))
+    v /= np.linalg.norm(v, axis=0)
+    v_inv = v.copy(order="F")
+    funcs["ztrtri"](b"U", b"N", ctypes.byref(n), v_inv.ctypes.data,
+                    ctypes.byref(n), ctypes.byref(info))
+    if info.value > 0:
+        raise NearDefectiveError("singular eigenvector matrix")
+    return v, v_inv
+
+
 def eig_biorthogonal(x):
     """Eigendecompose a complex matrix into a biorthogonal system.
 
-    Eigenvalues are sorted lexicographically by (Re, Im) for
-    reproducibility.  A 2-norm condition number of the right-eigenvector
-    matrix above ``COND_LIMIT`` flags the sample as near-defective;
-    callers typically drop such samples and count them, as they do a
-    singular one.  The SVD behind that number runs only where the bound
-    ``||R||_F ||R^-1||_F`` exceeds the limit, so the drop decision is the
-    SVD's alone.
+    Works in the Schur basis: X = Q T Q^H with T upper triangular, V the
+    eigenvectors of T and the system (diag T, V, V^-1); Q is never formed
+    (see :class:`EigenSystem`).  Eigenvalues are sorted lexicographically
+    by (Re, Im) for reproducibility.  A 2-norm condition number of the
+    eigenvector matrix above ``COND_LIMIT`` flags the sample as
+    near-defective; callers typically drop such samples and count them,
+    as they do a singular one or a Schur factorisation that does not
+    converge.  Since Q is unitary, cond(V) = cond(QV).  The SVD behind
+    that number runs only where the bound ``||V||_F ||V^-1||_F`` exceeds
+    the limit, so the drop decision is the SVD's alone.
     """
     x = np.asarray(x, dtype=complex)
-    lam, r = np.linalg.eig(x)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise np.linalg.LinAlgError("expected a square matrix")
+    if not np.isfinite(x).all():
+        raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+    t = _schur(x)
+    lam = np.diagonal(t).copy()
+    v, v_inv = _triangular_eigenvectors(t)
+    norm = np.linalg.norm(x)
+    residual = float(np.max(np.abs(t @ v - v * lam)) / max(norm, 1.0))
     order = np.lexsort((lam.imag, lam.real))
-    lam = lam[order]
-    r = r[:, order]
-    try:
-        left = np.linalg.inv(r)
-    except np.linalg.LinAlgError:
-        raise NearDefectiveError("singular eigenvector matrix") from None
-    # a near-singular r overflows the bound to inf; the SVD decides then
+    lam, right, left = lam[order], v[:, order], v_inv[order, :]
+    # a near-singular v overflows the bound to inf; the SVD decides then
     with np.errstate(over="ignore", invalid="ignore"):
-        cond = float(np.linalg.norm(r) * np.linalg.norm(left))
+        cond = float(np.linalg.norm(right) * np.linalg.norm(left))
     if not cond <= COND_LIMIT:
-        cond = float(np.linalg.cond(r))
+        cond = float(np.linalg.cond(right))
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise NearDefectiveError(
                 f"eigenvector condition estimate {cond:.3g} above limit")
-    norm = np.linalg.norm(x)
-    res_r = np.max(np.abs(x @ r - r * lam[np.newaxis, :]))
-    res_l = np.max(np.abs(left @ x - lam[:, np.newaxis] * left))
-    residual = float(max(res_r, res_l) / max(norm, 1.0))
-    return EigenSystem(lam, r, left, cond, residual)
+    return EigenSystem(lam, right, left, cond, residual)
 
 
 def overlap_matrix(es):

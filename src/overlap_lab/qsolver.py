@@ -237,8 +237,22 @@ def qs_green_scalar(z, m, gamma):
 
     Solves g + 1/g + m i gamma/(1 - i gamma g) = z: the GUE's R-transform
     plus the channel term, the scalar form of :func:`build_rung`'s rung.
+    A point inside the spectrum raises ValueError, as in
+    :func:`solve_green`.
     """
-    return _track_cubic_roots(_qs_cubic_coeffs(m, gamma), [complex(z)])[0]
+    return _qs_green(quantum_scattering_rt(m, gamma), [complex(z)])[0]
+
+
+def _qs_green(rt, z):
+    """The quantum scattering g at the points ``z``, outside the spectrum."""
+    g11 = _track_cubic_roots(_qs_cubic_coeffs(rt.m, rt.gamma), z)
+    q = _quaternion(g11)
+    # 1 - |g|^2 B^{11}_{bb}(z, zbar) <= 0, the ladder's pole: inside
+    if np.any((np.abs(g11) ** 2 * build_rung(rt, q, q)[..., 1, 1]).real
+              >= 1.0):
+        raise ValueError("quantum_scattering point inside the spectrum, "
+                         "where no nonholomorphic solution is known")
+    return g11
 
 
 def _solve_stack(rt, z):
@@ -285,13 +299,7 @@ def _solve_stack(rt, z):
         g11 = _pt_green(z)
         inside = _pt_on_axis(z)
     elif rt.kind == "quantum_scattering":
-        g11 = _track_cubic_roots(_qs_cubic_coeffs(rt.m, rt.gamma), z)
-        q = _quaternion(g11)
-        # 1 - |g|^2 B^{11}_{bb}(z, zbar) <= 0, the ladder's pole: inside
-        if np.any((np.abs(g11) ** 2 * build_rung(rt, q, q)[..., 1, 1]).real
-                  >= 1.0):
-            raise ValueError("quantum_scattering point inside the spectrum, "
-                             "where no nonholomorphic solution is known")
+        g11 = _qs_green(rt, z)
     else:
         raise ValueError(f"unsupported R-transform kind {rt.kind!r}")
     return _GreenStack(_quaternion(g11, off), z), inside

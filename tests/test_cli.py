@@ -112,10 +112,10 @@ class TestSample:
         digest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                   for name in ("eigen.csv", "pairs.csv")}
         assert digest == {
-            "eigen.csv": "829f8cf5fb8628408dba5fa7b44d6fe7"
-                         "397da0e5a4462c817f7cd60c99963eb4",
-            "pairs.csv": "e900e8b55409b52c746e3368d08acc8a"
-                         "075190880676fb91049f3a1be02d791d"}
+            "eigen.csv": "3bc8fe26ef6d6b89e37e3ca766ebbbc0"
+                         "ded80328dacb6da960bfdcac9966e8c7",
+            "pairs.csv": "2604b93187c9051c67253c5141725310"
+                         "f38557320289b9d255a3fb447353aaf6"}
 
     def test_pair_subsample_stream_is_reserved(self, tmp_path):
         out = run_sample(tmp_path, n=6, samples=2,
@@ -319,10 +319,10 @@ class TestEstimate:
         assert digest == {
             "rho": "2fa735fa6fccefbabd43d9516cd116ef"
                    "f6b68ba0b29c4e4973601b9333f456e5",
-            "o1": "a1cbf55da401e2d6f563a63716009e97"
-                  "dbd5a8438eedcdb93c90feadd309d4ac",
-            "o2": "755b23ab75f962199870e50151be6582"
-                  "0eaf2b53077b0939774ece5b0b7d50cc",
+            "o1": "da8985aeddc01b794fd8915311fb3374"
+                  "df47317f548caf98252971faaefadafa",
+            "o2": "d0e8a6e69886676c30d8d0047a68ccc0"
+                  "16091c1ca03c090bb4e6acfae4398934",
             "hprod": "53fdd6fbf55abd401cc594687d15eaf9"
                      "a7729d30e7151f52dc1a1ddcf56e1258",
             "tracecov": "5c60abc108bf809e55831baea884576a"

@@ -180,7 +180,7 @@ class TestMonteCarloLoop:
         # one worker keeps the strict pull-then-work order
         monkeypatch.setattr(overlaps, "WORKERS", 1)
         events = []
-        owner, attr, calls = WORK_CALLS.get(name, (np.linalg, "eig", 1))
+        owner, attr, calls = WORK_CALLS.get(name, (overlaps, "_schur", 1))
         work = getattr(owner, attr)
 
         def logged(a, *args):

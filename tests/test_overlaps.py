@@ -1,13 +1,19 @@
 """Unit tests for the biorthogonal eigendecomposition and overlap matrix."""
 
 import csv
+import ctypes
+import glob
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from overlap_lab import overlaps
-from overlap_lab.ensembles import EnsembleSpec, sample
+from overlap_lab.ensembles import KINDS, EnsembleSpec, sample
 from overlap_lab.numcore import RngStream
 from overlap_lab.overlaps import (EigenSystem, MonteCarloLoop,
                                   NearDefectiveError, diagonal_overlaps,
@@ -30,13 +36,19 @@ class TestEigBiorthogonal:
         assert np.max(np.abs(recon - np.eye(es.n))) < 1e-8
 
     def test_eigen_equation_residual(self):
+        # the system is in the Schur basis X = Q T Q^H: QV and V^-1 Q^H
+        # are the right and left eigenvectors of X
         x = ginibre(25)
         es = eig_biorthogonal(x)
         assert es.residual < 1e-10
+        _, q = scipy.linalg.schur(x, output="complex")
+        right, left = q @ es.right, es.left @ q.conj().T
         for k in range(es.n):
-            lhs = x @ es.right[:, k]
-            assert np.allclose(lhs, es.eigenvalues[k] * es.right[:, k],
+            lhs = x @ right[:, k]
+            assert np.allclose(lhs, es.eigenvalues[k] * right[:, k],
                                atol=1e-10)
+        recon = sum(np.outer(right[:, k], left[k, :]) for k in range(es.n))
+        assert np.max(np.abs(recon - np.eye(es.n))) < 1e-10
 
     def test_lexicographic_order(self):
         es = eig_biorthogonal(ginibre(20))
@@ -55,6 +67,85 @@ class TestEigBiorthogonal:
         j = np.eye(6, k=1) + 0.5 * np.eye(6)
         with pytest.raises(NearDefectiveError):
             eig_biorthogonal(j)
+
+
+# one setting per kind, as the benchmark's sum-rule group draws them
+SCHUR_PARAMS = {
+    "ginibre": {}, "elliptic": {"tau": 0.5},
+    "induced_ginibre": {"alpha": 0.5},
+    "truncated_unitary": {"kappa": 1.0}, "spherical": {},
+    "product_ginibre": {}, "pseudo_hermitian_product": {},
+    "quantum_scattering": {"gamma": 0.7},
+}
+
+
+class TestSchurRoute:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_eig_oracle(self, kind):
+        # the back-transformed eigenvectors of np.linalg.eig and their
+        # inverse give the same eigenvalues and overlaps
+        x, _ = sample(EnsembleSpec(kind, 100, **SCHUR_PARAMS[kind]),
+                      RngStream(1, 0))
+        lam, r = np.linalg.eig(x)
+        order = np.lexsort((lam.imag, lam.real))
+        lam, r = lam[order], r[:, order]
+        left = np.linalg.inv(r)
+        oracle = (left @ left.conj().T) * (r.conj().T @ r).T
+        es = eig_biorthogonal(x)
+        o = overlap_matrix(es)
+        assert np.max(np.abs(es.eigenvalues - lam)) <= 1e-12 * np.max(
+            np.abs(lam))
+        assert np.max(np.abs(o - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+        assert np.max(np.abs(o.sum(axis=1) - 1.0)) < 1e-10
+
+    def test_singular_eigenvector_matrix_raises(self):
+        # a nilpotent Jordan block's V has a diagonal entry that underflows
+        with pytest.raises(NearDefectiveError, match="singular"):
+            eig_biorthogonal(np.eye(3, k=1))
+
+    def test_unconverged_schur_dropped_and_counted(self, monkeypatch):
+        lapack = dict(overlaps._lapack())
+
+        def unconverged(*args):
+            lapack_zgees(*args)
+            args[-1]._obj.value = 1  # info > 0: the QR iteration failed
+
+        lapack_zgees, lapack["zgees"] = lapack["zgees"], unconverged
+        xs = [ginibre(10, stream=k) for k in range(3)]
+        monkeypatch.setattr(overlaps, "_lapack", lambda: lapack)
+        loop = MonteCarloLoop(xs, eig_biorthogonal)
+        assert list(loop) == []
+        assert loop.n_dropped == 3
+
+    def test_unexpected_prototype_raises(self, monkeypatch):
+        prototypes = dict(overlaps._PROTOTYPES)
+        prototypes["ztrtri"] = prototypes["ztrtri"].replace("int *)",
+                                                            "long *)")
+        monkeypatch.setattr(overlaps, "_PROTOTYPES", prototypes)
+        with pytest.raises(ImportError, match="ztrtri"):
+            overlaps._lapack.__wrapped__()
+
+    def test_scipy_openblas_pool_has_one_thread(self):
+        # its spinning threads would contend with numpy's BLAS pool
+        overlaps._lapack()
+        libs = glob.glob(os.path.join(
+            os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs",
+            "libscipy_openblas*"))
+        if not libs:
+            pytest.skip("scipy does not bundle scipy-openblas")
+        get = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads
+        get.argtypes, get.restype = [], ctypes.c_int
+        assert get() == 1
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        # the LAPACK binding loads scipy.linalg on first use only
+        src = os.path.dirname(os.path.dirname(overlaps.__file__))
+        code = (f"import sys; sys.path.insert(0, {src!r}); "
+                "import overlap_lab; "
+                "assert 'scipy.linalg' not in sys.modules, 'loaded'")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
 
 
 class TestMonteCarloLoop:

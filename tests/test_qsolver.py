@@ -304,6 +304,14 @@ class TestQuantumScatteringSupport:
         with pytest.raises(ValueError):
             qsolver.h_holomorphic(self.RT, z, np.conj(z))
 
+    def test_scalar_green_raises_inside(self):
+        # at 2i two roots of the cubic have met on the continuation path,
+        # so rounding alone picked the branch the scalar solver returned
+        with pytest.raises(ValueError, match="inside the spectrum"):
+            qsolver.qs_green_scalar(2j, self.RT.m, self.RT.gamma)
+        assert qsolver.qs_green_scalar(3.5j, self.RT.m, self.RT.gamma) == \
+            qsolver.solve_green(self.RT, 3.5j).g[0, 0]
+
     @pytest.mark.parametrize("z", list(QS_PAIR) + [5.0, 4.0 + 3.0j, 1.0 - 3.0j,
                                                    -0.5j, 3.5j])
     def test_outside_is_holomorphic(self, z):
