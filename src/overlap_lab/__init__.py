@@ -7,25 +7,14 @@ functions, Bethe-Salpeter resummation, single-ring master formulas and
 the exact finite-N Ginibre determinant), so the two routes can be
 cross-validated.
 
-``OVERLAP_LAB_THREADS``, when set, caps the BLAS and OpenMP thread
-pools: it is copied into each pool's own variable that is not already
-set.  The pools read those variables when numpy is first imported, so
-the cap takes effect only if this package is imported before numpy.
+``OVERLAP_LAB_THREADS``, else ``OPENBLAS_NUM_THREADS``, else
+``OMP_NUM_THREADS``, else 1, is the number of BLAS threads per
+decomposition.  Importing the package sets the pool of numpy's bundled
+OpenBLAS to it for the whole process, whether or not numpy was imported
+first (builds without that library keep their own), and the Monte
+Carlo loop runs the usable cores divided by it as workers (see
+:mod:`overlap_lab.overlaps`).
 """
-
-import os
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("OVERLAP_LAB_THREADS")
-    if not cap:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, cap)
-
-
-_apply_thread_cap()
 
 __version__ = "0.1.0"
 

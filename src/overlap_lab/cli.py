@@ -204,6 +204,8 @@ def cmd_estimate(args):
                  f"manifest {manifest.params_hash()}", names, rows)
     if est.rejections:
         print(f"sampler rejections: {est.rejections}")
+    if getattr(est, "n_dropped", 0):
+        print(f"near-defective samples dropped: {est.n_dropped}")
     return 0
 
 

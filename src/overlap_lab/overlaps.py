@@ -26,9 +26,13 @@ on both cores.  Not all of LAPACK does: ``np.linalg.eigvals``,
 bound) and the ``scipy.linalg.lapack`` wrappers hold the GIL, and two
 threads of them ran at 0.85-0.91x the throughput of one (N = 100, one
 BLAS thread, 2 cores) against 1.7-1.9x for ``np.linalg.eig``.
-``WORKERS`` is the number of usable cores divided by the BLAS thread
-count (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else all
-cores), so an unpinned BLAS gets one worker.
+The BLAS thread count is ``OVERLAP_LAB_THREADS``, else
+``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, else 1.  Importing
+this module sets the pool of numpy's bundled OpenBLAS to it, whatever
+was imported first, and ``WORKERS`` is the number of usable cores
+divided by it.  The first decomposition sets scipy's bundled OpenBLAS,
+which runs only its LAPACK calls, to one thread; builds without those
+libraries keep their own settings.
 
 The CSV writers take per-sample column blocks (:class:`EigenBlock`,
 :class:`PairBlock`) and format them in one pass.  The layout of
@@ -63,22 +67,45 @@ __all__ = [
 COND_LIMIT = 1e12  # near-defective bound, also the spherical sampler's
 
 
-def _workers():
+def _blas_threads(environ):
+    """The BLAS thread count of the rule above, read from the mapping
+    ``environ``; a value that is not a positive integer raises ValueError."""
+    for var in ("OVERLAP_LAB_THREADS", "OPENBLAS_NUM_THREADS",
+                "OMP_NUM_THREADS"):
+        value = environ.get(var)
+        if value:
+            if not value.isdecimal() or int(value) < 1:
+                raise ValueError(f"{var}={value!r} is not a positive integer")
+            return int(value)
+    return 1
+
+
+def _workers(threads):
     """Usable cores divided by the BLAS threads each decomposition uses."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:
         cores = os.cpu_count() or 1
-    blas = (os.environ.get("OPENBLAS_NUM_THREADS")
-            or os.environ.get("OMP_NUM_THREADS"))
-    try:
-        threads = int(blas)
-    except (TypeError, ValueError):
-        threads = cores
-    return max(1, cores // max(threads, 1))
+    return max(1, cores // threads)
 
 
-WORKERS = _workers()  # samples in flight in one MonteCarloLoop
+def _set_openblas_threads(package, symbol, threads):
+    """Set the pool of the OpenBLAS bundled with ``package``'s wheel, which
+    starts with a thread per core, to ``threads`` by its C function
+    ``symbol``."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(package.__file__)),
+                        f"{package.__name__}.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        set_threads = getattr(ctypes.CDLL(path), symbol, None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(threads)
+
+
+_BLAS_THREADS = _blas_threads(os.environ)  # numpy's OpenBLAS pool
+WORKERS = _workers(_BLAS_THREADS)  # samples in flight in one MonteCarloLoop
+# numpy has loaded its OpenBLAS already, so this loads nothing
+_set_openblas_threads(np, "scipy_openblas_set_num_threads64_", _BLAS_THREADS)
 
 
 class NearDefectiveError(np.linalg.LinAlgError):
@@ -135,6 +162,7 @@ def _lapack():
     ``scipy.linalg``.  A capsule whose C prototype is not the expected one
     raises ImportError instead of being called with the wrong arguments.
     """
+    import scipy
     from scipy.linalg import cython_lapack
 
     # private function objects: the shared ctypes.pythonapi ones keep
@@ -158,31 +186,11 @@ def _lapack():
         signature = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p]
                                      * (expected.count(",") + 1))
         funcs[name] = signature(get_pointer(capsule, raw))
-    _one_thread_scipy_openblas()
+    # zgees gains nothing from a second thread at N = 100-200, and idle
+    # pool threads spin: with both pools at two threads on 2 cores,
+    # criterion #02 ran 2.4x slower than with scipy's at one
+    _set_openblas_threads(scipy, "scipy_openblas_set_num_threads", 1)
     return funcs
-
-
-def _one_thread_scipy_openblas():
-    """Set the pool of the OpenBLAS bundled with scipy's wheels to one thread.
-
-    numpy's and scipy's wheels each carry an OpenBLAS, and each pool's
-    threads spin for a while after a call.  A decomposition alternates
-    between the two, LAPACK in scipy's and the products in numpy's, so
-    with both pools at two threads on 2 cores it ran 2-4x slower than
-    with scipy's at one (N = 100-200; a one-thread ``zgees`` was as fast
-    as a two-thread one).  Builds without that library share one BLAS
-    or manage their own threads and are left alone.
-    """
-    import scipy
-
-    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)),
-                        "scipy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
-        set_threads = getattr(ctypes.CDLL(path),
-                              "scipy_openblas_set_num_threads", None)
-        if set_threads is not None:
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            set_threads(1)
 
 
 def _schur(x):

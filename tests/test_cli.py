@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -43,38 +44,52 @@ class TestArgs:
         with pytest.raises(Exception):
             _complex_arg("1,2,3")
 
-    def test_thread_cap(self):
-        # the effective OpenBLAS pool size after importing the CLI, read
-        # through ctypes from numpy's bundled OpenBLAS
-        probe = textwrap.dedent("""
+    @pytest.mark.parametrize("first,env,threads", [
+        ("numpy", {"OVERLAP_LAB_THREADS": "1"}, 1),
+        ("overlap_lab", {}, 1),
+        ("overlap_lab", {"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ], ids=["cap-after-numpy", "default", "blas-variable"])
+    def test_thread_cap(self, first, env, threads):
+        # both bundled OpenBLAS pools, read through ctypes after the first
+        # decomposition, and the Monte Carlo window, in a fresh process
+        # that imports `first` first
+        probe = textwrap.dedent(f"""
             import ctypes, glob, os
-            from overlap_lab import cli
+            import {first}
+            from overlap_lab import cli, overlaps
             import numpy as np
-            libs = glob.glob(os.path.join(os.path.dirname(np.__file__),
-                                          os.pardir, "numpy.libs",
-                                          "libscipy_openblas64_*.so"))
-            if not libs:
-                print("absent")
-            else:
-                lib = ctypes.CDLL(sorted(libs)[0])
-                get = lib.scipy_openblas_get_num_threads64_
-                get.argtypes = []
-                get.restype = ctypes.c_int
-                print(get())
+            import scipy
+            overlaps.eig_biorthogonal(np.eye(3))
+
+            def pool(package, symbol):
+                libs = glob.glob(os.path.join(
+                    os.path.dirname(package.__file__), os.pardir,
+                    package.__name__ + ".libs", "libscipy_openblas*"))
+                if not libs:
+                    return "absent"
+                get = getattr(ctypes.CDLL(sorted(libs)[0]), symbol)
+                get.argtypes, get.restype = [], ctypes.c_int
+                return get()
+
+            print(pool(np, "scipy_openblas_get_num_threads64_"),
+                  pool(scipy, "scipy_openblas_get_num_threads"),
+                  overlaps.WORKERS, len(os.sched_getaffinity(0)))
         """)
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                            "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+        env = dict({k: v for k, v in os.environ.items()
+                    if k not in ("OVERLAP_LAB_THREADS", "OMP_NUM_THREADS",
+                                 "OPENBLAS_NUM_THREADS")}, **env)
         src = os.path.dirname(os.path.dirname(cli.__file__))
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        env["OVERLAP_LAB_THREADS"] = "1"
         out = subprocess.run([sys.executable, "-c", probe], env=env,
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        if out.stdout.strip() == "absent":
-            pytest.skip("numpy does not bundle scipy-openblas")
-        assert out.stdout.strip() == "1"
+        numpy_pool, scipy_pool, workers, cores = out.stdout.split()
+        if "absent" in (numpy_pool, scipy_pool):
+            pytest.skip("numpy or scipy does not bundle scipy-openblas")
+        # scipy's pool runs LAPACK only, at one thread whatever the count
+        assert (int(numpy_pool), int(scipy_pool)) == (threads, 1)
+        assert int(workers) == max(1, int(cores) // threads)
 
 
 class TestSample:
@@ -268,6 +283,25 @@ class TestEstimate:
         assert main(["estimate", what, "--in", str(out), *opts]) == 0
         assert "sampler rejections: 12" in capsys.readouterr().out
         assert (out / f"{what}.csv").read_bytes() == table
+
+    @pytest.mark.parametrize("what,opts", [
+        ("o1", ["--rbins", "4", "--rmax", "1.2"]),
+        ("o2", ["--pair", "0.3,0.0,-0.3,0.1", "--half-width", "0.4"]),
+    ])
+    def test_drops_printed(self, tmp_path, monkeypatch, capsys, what, opts):
+        out = run_sample(tmp_path, n=10, samples=4)
+        assert main(["estimate", what, "--in", str(out), *opts]) == 0
+        assert "near-defective" not in capsys.readouterr().out
+        calls, schur = itertools.count(), overlaps._schur
+
+        def one_defective(x):
+            if next(calls) == 1:
+                raise overlaps.NearDefectiveError("patched")
+            return schur(x)
+
+        monkeypatch.setattr(overlaps, "_schur", one_defective)
+        assert main(["estimate", what, "--in", str(out), *opts]) == 0
+        assert "near-defective samples dropped: 1" in capsys.readouterr().out
 
     def test_estimate_tag_matches_sample_tag(self, tmp_path):
         # the rejection count the sample run records must not enter the tag

@@ -148,6 +148,27 @@ class TestSchurRoute:
         assert out.returncode == 0, out.stderr
 
 
+class TestBlasThreads:
+    @pytest.mark.parametrize("environ,threads", [
+        ({}, 1),
+        ({"OMP_NUM_THREADS": "3"}, 3),
+        ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"}, 2),
+        ({"OVERLAP_LAB_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}, 1),
+        ({"OVERLAP_LAB_THREADS": "", "OPENBLAS_NUM_THREADS": "2"}, 2),
+    ])
+    def test_first_variable_set_wins(self, environ, threads):
+        assert overlaps._blas_threads(environ) == threads
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5", " 2"])
+    @pytest.mark.parametrize("var", ["OVERLAP_LAB_THREADS",
+                                     "OPENBLAS_NUM_THREADS",
+                                     "OMP_NUM_THREADS"])
+    def test_malformed_count_raises(self, var, value):
+        # a pure function of the mapping: no pool ever sees the value
+        with pytest.raises(ValueError, match=var):
+            overlaps._blas_threads({var: value})
+
+
 class TestMonteCarloLoop:
     def test_window_of_two(self, monkeypatch):
         # sample k + 2 is pulled only after the caller has taken item k,
