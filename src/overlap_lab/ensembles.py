@@ -88,10 +88,14 @@ def _gue(rng, n, sigma=1.0):
     return (sigma / (2.0 * np.sqrt(n))) * (b + b.conj().T)
 
 
-def _haar_unitary(rng, n):
-    """Haar unitary via QR with the R-diagonal phases fixed positive real."""
+def _haar_unitary(rng, n, cols=None):
+    """Haar unitary via QR with the R-diagonal phases fixed positive real.
+
+    Only its first ``cols`` columns (all by default) are formed: they are
+    the QR factor of the first ``cols`` columns of the same n x n draw.
+    """
     g = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    q, r = np.linalg.qr(g)
+    q, r = np.linalg.qr(g[:, :cols])
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
@@ -140,8 +144,7 @@ def sample(spec, rng_stream):
         x = a @ q @ w
     elif spec.kind == "truncated_unitary":
         total = n + int(round(spec.kappa * n))
-        u = _haar_unitary(rng, total)
-        x = u[:n, :n].copy()
+        x = _haar_unitary(rng, total, n)[:n].copy()
     elif spec.kind == "spherical":
         x1 = _ginibre(rng, n)
         x2 = _ginibre(rng, n)

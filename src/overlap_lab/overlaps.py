@@ -38,7 +38,10 @@ The CSV writers take per-sample column blocks (:class:`EigenBlock`,
 :class:`PairBlock`) and format them in one pass.  The layout of
 eigen.csv and pairs.csv is the one ``csv.writer`` gives for row tuples
 (shortest round-trip float text, ``\\r\\n`` row ends), so the bytes are
-those of a per-row writer loop.
+those of a per-row writer loop.  Most of the cost of pairs.csv is
+``repr`` of its overlaps, and it pays for one float per row: O is
+Hermitian, so a row (k, l) with k > l reuses the text of its mirror row
+(l, k) where the mirror's overlap is bitwise the conjugate of its own.
 """
 
 import collections
@@ -409,20 +412,58 @@ def write_pairs_csv(path, rows, header_comment=None):
     """Write :func:`pair_rows` blocks to pairs.csv.
 
     Columns: sample_id, k, l, re_lambda_k, im_lambda_k, re_lambda_l,
-    im_lambda_l, re_o_kl, im_o_kl.  Each eigenvalue's coordinates are
-    formatted once per sample; only the overlap is formatted per row.
+    im_lambda_l, re_o_kl, im_o_kl.
     """
     with open(path, "w", newline="") as fh:
         _write_header(fh, header_comment,
                       ["sample_id", "k", "l", "re_lambda_k", "im_lambda_k",
                        "re_lambda_l", "im_lambda_l", "re_o_kl", "im_o_kl"])
         for block in rows:
-            xy = _coordinates(block.eigenvalues)
-            fh.writelines(
-                f"{block.sample_id},{k},{l},{xy[k]},{xy[l]},{re!r},{im!r}\r\n"
-                for k, l, re, im in zip(block.k.tolist(), block.l.tolist(),
-                                        block.o_kl.real.tolist(),
-                                        block.o_kl.imag.tolist()))
+            fh.writelines(_pairs_text(block))
+
+
+# rows joined per write; joining a whole block (about 1.3 MB of text at
+# N = 100) doubles the writer's transient memory and is no faster
+_ROWS_PER_WRITE = 1024
+
+
+def _pairs_text(block):
+    """Yield the pairs.csv rows of one :class:`PairBlock` as strings of
+    ``_ROWS_PER_WRITE`` rows.
+
+    Each eigenvalue's coordinates are formatted once.  A row (k, l) with
+    k > l whose mirror row (l, k) is in the block and holds bitwise the
+    conjugate of its finite overlap takes the mirror's text with the sign
+    of the imaginary part flipped, the text ``repr`` gives the conjugate
+    ("-0.0" and "0.0" included; a NaN keeps no sign in its text, hence
+    finite only).  Every other overlap goes through ``repr``, so the bytes
+    do not depend on O being Hermitian.  The rows are joined in C from
+    columns of text.
+    """
+    n, k, l = len(block.eigenvalues), block.k, block.l
+    o = np.ascontiguousarray(block.o_kl, dtype=complex)
+    bits = o.view(np.uint64).reshape(-1, 2)
+    at = np.full(n * n, -1)
+    at[k * n + l] = np.arange(len(k))
+    mirror = at[l * n + k]
+    reuse = (k > l) & (mirror >= 0) & np.isfinite(o)
+    mirror[~reuse] = 0
+    reuse &= ((bits[:, 0] == bits[mirror, 0])
+              & (bits[:, 1] == bits[mirror, 1] ^ np.uint64(1 << 63)))
+    re, im = np.empty(len(k), object), np.empty(len(k), object)
+    new, src = ~reuse, mirror[reuse]
+    re[new] = list(map(repr, o.real[new].tolist()))
+    im[new] = list(map(repr, o.imag[new].tolist()))
+    re[reuse] = re[src]
+    im[reuse] = [t[1:] if t[0] == "-" else "-" + t for t in im[src].tolist()]
+    # the leading columns, formatted once per eigenvalue index
+    head = np.array([f"{block.sample_id},{i}" for i in range(n)], object)
+    index = np.array(list(map(str, range(n))), object)
+    xy = np.array(_coordinates(block.eigenvalues), object)
+    columns = [c.tolist() for c in (head[k], index[l], xy[k], xy[l], re, im)]
+    for i in range(0, len(k), _ROWS_PER_WRITE):
+        yield "\r\n".join(map(",".join, zip(
+            *(c[i:i + _ROWS_PER_WRITE] for c in columns)))) + "\r\n"
 
 
 def eigen_rows(sample_id, es, overlaps_diag):

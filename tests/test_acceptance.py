@@ -1,11 +1,15 @@
 """Acceptance gate: thirteen cross-validation criteria comparing the
 Monte Carlo estimators against the large-N and finite-N analytics.
 
-Each test prints exactly one PASS/FAIL line (visible even under pytest
-output capture) and asserts the same condition.
+Each criterion test prints exactly one PASS/FAIL line (visible even under
+pytest output capture) and asserts the same condition.
 """
 
+import contextlib
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,14 +23,21 @@ _write_line = print
 
 @pytest.fixture(autouse=True)
 def _route_lines_past_capture(request):
-    """Emit criterion lines through the terminal reporter so they stay
-    visible under pytest's output capture."""
+    """Emit criterion lines through the terminal reporter with output
+    capture suspended, so they stay visible in a captured run."""
     global _write_line
-    reporter = request.config.pluginmanager.getplugin("terminalreporter")
+    plugins = request.config.pluginmanager
+    reporter = plugins.getplugin("terminalreporter")
+    capman = plugins.getplugin("capturemanager")
+    suspended = (capman.global_and_fixture_disabled if capman is not None
+                 else contextlib.nullcontext)
     if reporter is not None:
         def _write_line(line):
-            reporter.ensure_newline()
-            reporter.write_line(line)
+            with suspended():
+                reporter.ensure_newline()
+                if reporter._tw.width_of_current_line:  # -q progress dots
+                    reporter._tw.line()
+                reporter.write_line(line)
     yield
     _write_line = print
 
@@ -335,3 +346,26 @@ def test_criterion_13_phi_plane_integral():
     dev = abs(val - (-1.0 / math.pi))
     criterion(13, "microscopic kernel plane integral equals -1/pi",
               dev < 1e-8, f"dev {dev:.2e}")
+
+
+def test_criterion_lines_shown_under_capture():
+    # the criterion lines of a captured run (pytest's default) reach the
+    # terminal, one per criterion test
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]]
+                 if os.environ.get("PYTHONPATH") else [])))
+    env.pop("PYTEST_ADDOPTS", None)
+    ids = [f"{__file__}::{name}" for name in (
+        "test_criterion_07_exact_finite_n",
+        "test_criterion_11_quantum_scattering_rung",
+        "test_criterion_13_phi_plane_integral")]
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                          "-p", "no:cacheprovider", *ids],
+                         cwd=os.path.dirname(tests), env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    lines = [l for l in out.stdout.splitlines() if l.startswith("CRITERION")]
+    assert [l.split()[1:3] for l in lines] == [
+        ["07", "PASS"], ["11", "PASS"], ["13", "PASS"]], out.stdout

@@ -95,6 +95,24 @@ class TestStructure:
             s = np.linalg.svd(x, compute_uv=False)
             assert s.max() <= 1.0 + 1e-10
 
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 2.0])
+    def test_truncated_unitary_is_corner_of_full_haar_unitary(self, kappa):
+        # the top N x N block of the Haar unitary built in full from the
+        # same (N+M)^2 Gaussian draw
+        n = 30
+        total = n + int(round(kappa * n))
+        spec = EnsembleSpec("truncated_unitary", n, kappa=kappa)
+        for k in range(3):
+            x, _ = sample(spec, RngStream(4, k))
+            rng = RngStream(4, k).generator()
+            g = (rng.standard_normal((total, total))
+                 + 1j * rng.standard_normal((total, total)))
+            q, r = np.linalg.qr(g)
+            d = np.diagonal(r)
+            u = q * (d / np.abs(d))
+            assert x.shape == (n, n)
+            assert np.max(np.abs(x - u[:n, :n])) < 1e-13
+
     def test_pseudo_hermitian_mostly_real_spectrum(self):
         spec = EnsembleSpec("pseudo_hermitian_product", 100)
         n_complex = 0

@@ -16,7 +16,8 @@ from overlap_lab import overlaps
 from overlap_lab.ensembles import KINDS, EnsembleSpec, sample
 from overlap_lab.numcore import RngStream
 from overlap_lab.overlaps import (EigenSystem, MonteCarloLoop,
-                                  NearDefectiveError, diagonal_overlaps,
+                                  NearDefectiveError, PairBlock,
+                                  diagonal_overlaps,
                                   eig_biorthogonal, eig_with_overlaps,
                                   eigen_rows, overlap_matrix, pair_rows,
                                   write_eigen_csv, write_pairs_csv)
@@ -350,6 +351,12 @@ class TestCsvBytes:
             rows.extend(reference_pair_rows(sid, es, o, rng=rng_ref,
                                             **kwargs))
         assert len(blocks[1]) == 0
+        self.assert_pairs_bytes(tmp_path, blocks, rows)
+        # both generators consumed the same number of draws
+        assert rng_new.random() == rng_ref.random()
+
+    @staticmethod
+    def assert_pairs_bytes(tmp_path, blocks, rows):
         write_pairs_csv(tmp_path / "new.csv", blocks, header_comment="tag")
         reference_csv(tmp_path / "ref.csv", [
             "sample_id", "k", "l", "re_lambda_k", "im_lambda_k",
@@ -357,5 +364,83 @@ class TestCsvBytes:
         assert sum(map(len, blocks)) == len(rows) > 0
         assert ((tmp_path / "new.csv").read_bytes()
                 == (tmp_path / "ref.csv").read_bytes())
-        # both generators consumed the same number of draws
-        assert rng_new.random() == rng_ref.random()
+
+    @staticmethod
+    def block_rows(block):
+        """The per-row writer's rows of any block, in the block's order."""
+        lam = block.eigenvalues.tolist()
+        return [(block.sample_id, k, l, lam[k].real, lam[k].imag,
+                 lam[l].real, lam[l].imag, o.real, o.imag)
+                for k, l, o in zip(block.k.tolist(), block.l.tolist(),
+                                   block.o_kl.tolist())]
+
+    def test_pairs_csv_bytes_special_values(self, tmp_path):
+        # mirrors that are not the bitwise conjugate, and values whose
+        # text a sign flip would get wrong, next to exact conjugates
+        es = eig_biorthogonal(ginibre(6, stream=5))
+        o = overlap_matrix(es)
+        nan, inf, tiny = float("nan"), float("inf"), 5e-324
+        entries = {
+            # real part one ulp off
+            (0, 1): complex(np.nextafter(o[0, 1].real, inf), -o[0, 1].imag),
+            # equal, not conjugate: +0.0 against +0.0
+            (0, 2): (0.5 + 0j, 0.5 + 0j),
+            # exact conjugates around zero and a subnormal
+            (0, 3): (complex(0.25, 0.0), complex(0.25, -0.0)),
+            (1, 2): (complex(-0.0, tiny), complex(-0.0, -tiny)),
+            # bitwise conjugates that hold a NaN or an infinity
+            (1, 3): (complex(1.0, nan), complex(1.0, -nan)),
+            (1, 4): (complex(-nan, 2.0), complex(-nan, -2.0)),
+            (2, 3): (complex(inf, -inf), complex(inf, inf)),
+            (2, 4): (complex(-inf, 0.0), complex(-inf, -0.0)),
+            # imaginary part one ulp off
+            (3, 4): (complex(3.0, 1e-300),
+                     complex(3.0, np.nextafter(-1e-300, 0.0))),
+        }
+        for (k, l), value in entries.items():
+            if isinstance(value, tuple):
+                o[k, l], o[l, k] = value
+            else:
+                o[l, k] = value
+        assert np.signbit(o[3, 1].imag) and np.signbit(o[4, 1].real)
+        self.assert_pairs_bytes(tmp_path, [pair_rows(0, es, o)],
+                                reference_pair_rows(0, es, o))
+
+    def test_pairs_csv_bytes_hand_built_blocks(self, tmp_path):
+        # rows out of row-major order, with diagonal rows, a repeated row
+        # and pairs without their mirror; then a block whose o is not
+        # Hermitian at all
+        es = eig_biorthogonal(ginibre(7, stream=2))
+        o = overlap_matrix(es)
+        k, l = np.nonzero(np.ones((7, 7), dtype=bool))
+        pick = np.random.default_rng(5).permutation(len(k))[:35]
+        k, l = np.append(k[pick], k[pick[0]]), np.append(l[pick], l[pick[0]])
+        blocks = [PairBlock(2, es.eigenvalues, k, l, o[k, l]),
+                  PairBlock(3, es.eigenvalues, l, k,
+                            (o * (1 + 1e-3j))[l, k])]
+        assert np.any(k == l) and np.any(np.diff(k * 7 + l) < 0)
+        rows = [r for b in blocks for r in self.block_rows(b)]
+        self.assert_pairs_bytes(tmp_path, blocks, rows)
+
+    def test_pairs_csv_formats_each_mirror_pair_once(self, tmp_path,
+                                                     monkeypatch):
+        # O of a real decomposition is bitwise Hermitian off the diagonal,
+        # so the writer formats n(n-1) overlap floats, not 2n(n-1).  (The
+        # BLAS products leave about a quarter of the pairs one ulp apart
+        # at n = 10, where those pairs fall back to repr.)
+        n = 12
+        es = eig_biorthogonal(ginibre(n, stream=1))
+        o = overlap_matrix(es)
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal(o[off].view(np.uint64),
+                              o.T.conj()[off].view(np.uint64))
+        calls = []
+
+        def counting_repr(value):
+            calls.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(overlaps, "repr", counting_repr, raising=False)
+        self.assert_pairs_bytes(tmp_path, [pair_rows(0, es, o)],
+                                reference_pair_rows(0, es, o))
+        assert len(calls) == n * (n - 1)
