@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
+from scipy.linalg import lapack
 from scipy.special import gammaln
 
 from .numcore import STENCIL_H, wirtinger_mixed_derivative
@@ -229,8 +230,9 @@ def phi_plane_integral():
     return val
 
 
-def _exact_h_matrix(n, z1, z2):
-    """Pentadiagonal moment matrix of the finite-N Ginibre determinant.
+def _exact_h_band(n, z1, z2):
+    """Pentadiagonal moment matrix h of the finite-N Ginibre determinant
+    in ``zgbtrf`` band storage (kl = ku = 2): ``ab[4 + i - j, j] = h_ij``.
 
     The bracket |z1-l|^2 |z2-l|^2 + (conj(z1)-conj(l))(z2-l)/N is expanded
     into monomials l^p conj(l)^q (p, q <= 2) and integrated against the
@@ -251,7 +253,7 @@ def _exact_h_matrix(n, z1, z2):
     f = {(0, 0): np.conj(z1) * z2, (0, 1): -z2, (1, 0): -np.conj(z1),
          (1, 1): 1.0 + 0.0j}
     dim = n - 1
-    h = np.zeros((dim, dim), dtype=complex)
+    ab = np.zeros((7, dim), dtype=complex, order="F")
     j = np.arange(dim)
     w = [1.0 / (j + 1.0), np.ones(dim), j + 2.0]
     # term (p, q) fills the diagonal i - j = p - q, so each entry sums its
@@ -260,15 +262,16 @@ def _exact_h_matrix(n, z1, z2):
         for q in range(3):
             cols = j[max(0, q - p):dim - max(0, p - q)]
             coef = c[p] * d[q] + f.get((p, q), 0.0) / n
-            h[cols + p - q, cols] += coef * w[p][cols] * float(n) ** (2 - p)
-    return h
+            ab[4 + p - q, cols] += coef * w[p][cols] * float(n) ** (2 - p)
+    return ab
 
 
 def o2_exact_ginibre(n, z1, z2, normalized=True):
     """Exact finite-N Ginibre two-point function.
 
     Evaluates -(N / (pi^2 Gamma(N))) e^{-N(|z1|^2+|z2|^2)} det[h_ij] with
-    the external factorial and exponential absorbed in log space.
+    the external factorial and exponential absorbed in log space; det h
+    comes from a pentadiagonal band LU, O(N) work per point.
 
     The raw determinant expression (``normalized=False``) overcounts the
     pair density by a factor N+1: dividing it out (the default) makes
@@ -278,23 +281,22 @@ def o2_exact_ginibre(n, z1, z2, normalized=True):
     N^{-2} o2(0, w/sqrt(N)) -> Phi(|w|) with constant exactly 1.
     """
     n = int(n)
-    if n < 2:
-        raise ValueError("needs N >= 2")
-    if n > EXACT_MAX_N:
-        raise ValueError(f"N={n} above configured limit {EXACT_MAX_N}")
-    h = _exact_h_matrix(n, z1, z2)
-    sign, logabs = np.linalg.slogdet(h)
-    if sign == 0:
+    if not 2 <= n <= EXACT_MAX_N:
+        raise ValueError(f"needs 2 <= N <= {EXACT_MAX_N}, got N={n}")
+    ab = _exact_h_band(n, z1, z2)
+    lu, piv, info = lapack.zgbtrf(ab, 2, 2, overwrite_ab=True)
+    if info > 0:  # an exactly zero pivot: det h = 0
         return 0.0 + 0.0j
-    z1 = complex(z1)
-    z2 = complex(z2)
     log_pref = (math.log(n) - 2.0 * math.log(math.pi) - gammaln(n)
-                - n * (abs(z1) ** 2 + abs(z2) ** 2))
+                - n * (abs(complex(z1)) ** 2 + abs(complex(z2)) ** 2))
     if normalized:
         log_pref -= math.log(n + 1.0)
-    if logabs + log_pref > 700.0:
+    absu = np.abs(lu[4])
+    log_det = float(np.sum(np.log(absu))) + log_pref
+    if log_det > 700.0:
         raise OverflowError("log-scaled determinant exceeds range")
-    return -sign * np.exp(logabs + log_pref)
+    sign = (-1) ** np.count_nonzero(piv != np.arange(piv.size))
+    return -sign * np.prod(lu[4] / absu) * np.exp(log_det)
 
 
 def o2_elliptic(sigma, tau, z1, z2):

@@ -1,11 +1,14 @@
 """Unit tests for the closed-form large-N statistics and the exact
 finite-N two-point function."""
 
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.linalg import lapack
 
 from overlap_lab import analytic
 
@@ -227,7 +230,7 @@ def quadrature_exact_o2(n, z1, z2):
 
 
 def loop_exact_h_matrix(n, z1, z2):
-    """Entry-by-entry reference for analytic._exact_h_matrix: each entry
+    """Entry-by-entry reference for the h of analytic._exact_h_band: each entry
     sums its terms h_ij = sum_p (c_p d_q + f_pq/N) (j+p)!/(j+1)! N^{2-p},
     q = p + i - j, in increasing p."""
     z1 = complex(z1)
@@ -254,13 +257,96 @@ def loop_exact_h_matrix(n, z1, z2):
     return h
 
 
+def mp_band_det(h):
+    """det h of a pentadiagonal h in mpmath arithmetic at the current
+    precision: Gaussian elimination with row pivoting inside the band."""
+    from mpmath import mp
+    dim = len(h)
+    a = [[mp.mpc(x) for x in row] for row in h]
+    det = mp.mpc(1)
+    for k in range(dim):
+        below = range(k, min(dim, k + 3))
+        piv = max(below, key=lambda i: abs(a[i][k]))
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in below[1:]:
+            m = a[i][k] / a[k][k]
+            for j in range(k, min(dim, k + 5)):
+                a[i][j] -= m * a[k][j]
+    return det
+
+
+# bulk, rim (|z| ~ 1) and outside pairs of points; the last two pivot
+EXACT_POINTS = {
+    "bulk": (0.3 + 0.1j, -0.2 + 0.4j),
+    "rim": (0.99 * cmath.exp(0.3j), 1.01 * cmath.exp(-0.4j)),
+    "outside": (1.3 + 0.0j, -1.2j),
+}
+
+
 class TestExactFiniteN:
     @pytest.mark.parametrize("n", [2, 3, 5, 40, 80])
     def test_h_matrix_matches_loop_bit_for_bit(self, n):
+        dim = n - 1
         for z1, z2 in [(0.0, 0.0), (0.3 + 0.1j, -0.2 + 0.4j),
                        (0.7 - 0.2j, 0.1), (1.1 + 0.3j, -0.9j)]:
-            got = analytic._exact_h_matrix(n, z1, z2)
-            assert got.tobytes() == loop_exact_h_matrix(n, z1, z2).tobytes()
+            ab = analytic._exact_h_band(n, z1, z2)
+            ref = loop_exact_h_matrix(n, z1, z2)
+            rest = ab.copy()
+            # band row 4 + t holds the diagonal i - j = t of h
+            for t in range(-2, 3):
+                cols = slice(max(0, -t), dim - max(0, t))
+                assert (ab[4 + t, cols].tobytes()
+                        == np.diagonal(ref, -t).tobytes())
+                rest[4 + t, cols] = 0.0
+            assert not rest.any()
+
+    def test_mp_band_det_matches_mp_det(self):
+        mp = pytest.importorskip("mpmath").mp
+        h = loop_exact_h_matrix(40, *EXACT_POINTS["rim"])
+        with mp.workdps(50):
+            dense = mp.det(mp.matrix([[mp.mpc(x) for x in row] for row in h]))
+            assert abs(mp_band_det(h) / dense - 1) < mp.mpf(10) ** -40
+
+    @pytest.mark.parametrize("where", sorted(EXACT_POINTS))
+    @pytest.mark.parametrize("n", [40, 80, 160, 300])
+    def test_matches_mpmath_determinant(self, n, where):
+        mp = pytest.importorskip("mpmath").mp
+        z1, z2 = EXACT_POINTS[where]
+        with mp.workdps(50):
+            det = mp_band_det(loop_exact_h_matrix(n, z1, z2))
+            r2 = abs(mp.mpc(z1)) ** 2 + abs(mp.mpc(z2)) ** 2
+            ref = complex(-n * mp.exp(-n * r2) * det
+                          / (mp.pi ** 2 * mp.gamma(n) * (n + 1)))
+        got = analytic.o2_exact_ginibre(n, z1, z2)
+        assert abs(got - ref) <= 1e-10 * abs(ref)
+
+    def test_band_lu_swaps_rows(self):
+        swaps = {}
+        for where in ("rim", "outside"):
+            ab = analytic._exact_h_band(40, *EXACT_POINTS[where])
+            _, piv, info = lapack.zgbtrf(ab, 2, 2)
+            assert info == 0
+            swaps[where] = np.count_nonzero(piv != np.arange(piv.size))
+        assert swaps["rim"] > 0
+        # odd, so the mpmath comparison at N = 40 checks the pivot sign
+        assert swaps["outside"] % 2 == 1
+
+    def test_zero_pivot_gives_zero_without_warning(self, monkeypatch):
+        band = analytic._exact_h_band
+
+        def singular_band(n, z1, z2):
+            ab = band(n, z1, z2)
+            ab[:, 4] = 0.0  # a zero column: zgbtrf meets an exact 0 pivot
+            return ab
+
+        monkeypatch.setattr(analytic, "_exact_h_band", singular_band)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = analytic.o2_exact_ginibre(10, 0.3 + 0.1j, -0.2 + 0.4j)
+        assert got == 0j
 
     def test_raw_origin_n2(self):
         got = analytic.o2_exact_ginibre(2, 0.0, 0.0, normalized=False)
