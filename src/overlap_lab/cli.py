@@ -169,6 +169,10 @@ def cmd_estimate(args):
         else float(args.dmin))
     samples = _manifest_samples(manifest)
     if args.what in ("rho", "o1"):
+        if args.rbins < 1:
+            raise SystemExit("--rbins must be at least 1")
+        if not 0.0 < args.rmax < np.inf:
+            raise SystemExit("--rmax must be positive and finite")
         estimate = (estimators.estimate_density if args.what == "rho"
                     else estimators.estimate_o1)
         names = ["r"]
@@ -333,13 +337,14 @@ def build_parser():
                     "formulas.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_ensemble_params(sp):
+    def add_ensemble_params(sp, scattering=True):
         sp.add_argument("--sigma", type=float, default=1.0)
         sp.add_argument("--tau", type=float, default=0.0)
         sp.add_argument("--alpha", type=float, default=0.0)
         sp.add_argument("--kappa", type=float, default=1.0)
-        sp.add_argument("--m", type=float, default=1.0)
-        sp.add_argument("--gamma", type=float, default=1.0)
+        if scattering:  # the quantum-scattering channels
+            sp.add_argument("--m", type=float, default=1.0)
+            sp.add_argument("--gamma", type=float, default=1.0)
 
     ps = sub.add_parser("sample", help="draw matrices, write eigen/pair CSVs")
     ps.add_argument("--ensemble", required=True, choices=KINDS)
@@ -368,7 +373,9 @@ def build_parser():
     pe.add_argument("--word2", default="X+")
     pe.set_defaults(func=cmd_estimate)
 
-    pa = sub.add_parser("analytic", help="closed-form large-N values")
+    # no abbreviations, so that --m is refused rather than read as --model
+    pa = sub.add_parser("analytic", help="closed-form large-N values",
+                        allow_abbrev=False)
     pa.add_argument("what", choices=["o1", "o2", "h", "phi",
                                      "exact-o2", "elliptic-o2"])
     pa.add_argument("--model", default="ginibre")
@@ -380,7 +387,7 @@ def build_parser():
     pa.add_argument("--rout", type=float, default=1.0)
     pa.add_argument("--raw", action="store_true",
                     help="skip the N+1 pair-density normalization")
-    add_ensemble_params(pa)
+    add_ensemble_params(pa, scattering=False)
     pa.set_defaults(func=cmd_analytic)
 
     pq = sub.add_parser("qsolve", help="quaternionic large-N solver")

@@ -87,22 +87,22 @@ def quantum_scattering_rt(m=1.0, gamma=1.0):
 
 @dataclass(frozen=True)
 class GreenResult:
-    g: np.ndarray  # (2, 2) complex
-    branch: str  # "holomorphic" or "nonholomorphic"
-    z: complex = 0.0
-
-
-@dataclass(frozen=True)
-class _GreenStack:
-    """Green's functions ``g`` (..., 2, 2) at the spectral points ``z`` of
-    one solve.  Indexing selects points, so a sweep's pairs are index
-    arrays into the one stack of its distinct points."""
+    """Green's functions ``g`` (..., 2, 2) at the spectral points ``z``
+    (...) of one solve, and the mask ``inside`` (...) of the points in the
+    nonholomorphic regime; ``branch`` names the regime of one point.
+    Indexing selects points, so a sweep's pairs are index arrays into the
+    one record of its distinct points."""
 
     g: np.ndarray
     z: np.ndarray
+    inside: np.ndarray
+
+    @property
+    def branch(self):
+        return "nonholomorphic" if self.inside else "holomorphic"
 
     def __getitem__(self, index):
-        return _GreenStack(self.g[index], self.z[index])
+        return GreenResult(self.g[index], self.z[index], self.inside[index])
 
 
 def _quaternion(g11, off=0j):
@@ -258,9 +258,8 @@ def _qs_green(rt, z):
 def _solve_stack(rt, z):
     """Green's functions at the 1-D array of points ``z``, in one pass.
 
-    Returns the :class:`_GreenStack` and the mask of the points in the
-    nonholomorphic (inside) regime.  Every operation acts elementwise on
-    the stack (the cubic kinds track all points in one
+    Returns their :class:`GreenResult`.  Every operation acts elementwise
+    on the stack (the cubic kinds track all points in one
     :func:`_track_cubic_roots` call), so a point's Green's function does
     not depend on the other points; an invalid point raises for the
     whole stack what :func:`solve_green` raises for it alone.
@@ -302,28 +301,25 @@ def _solve_stack(rt, z):
         g11 = _qs_green(rt, z)
     else:
         raise ValueError(f"unsupported R-transform kind {rt.kind!r}")
-    return _GreenStack(_quaternion(g11, off), z), inside
+    return GreenResult(_quaternion(g11, off), z, inside)
 
 
 def solve_green(rt, z):
     """Quaternionic Green's function at spectral point z (w -> 0 taken).
 
-    Returns a :class:`GreenResult` whose branch tag reports whether z
-    fell in the holomorphic (outside) or nonholomorphic (inside) regime.
-    The origin of a single ring without a hole takes the bulk limit
-    G_11 = 0, G_1b = i sqrt(pi O_1(0)); where O_1(0) diverges
-    (product_ginibre) it raises ValueError.  This is the stack of one of
-    the solve that the sweeps run on all their points at once.
+    Returns the one-point :class:`GreenResult`, whose ``branch`` reports
+    whether z fell in the holomorphic (outside) or nonholomorphic (inside)
+    regime.  The origin of a single ring without a hole takes the bulk
+    limit G_11 = 0, G_1b = i sqrt(pi O_1(0)); where O_1(0) diverges
+    (product_ginibre) it raises ValueError.  This is point 0 of the solve
+    that the sweeps run on all their points at once.
     """
-    z = complex(z)
-    green, inside = _solve_stack(rt, np.array([z]))
-    return GreenResult(green.g[0], "nonholomorphic" if inside[0]
-                       else "holomorphic", z)
+    return _solve_stack(rt, np.array([complex(z)]))[0]
 
 
 def o1_from_green(green):
     """One-point eigenvector function -G_1b G_b1 / pi (0 if holomorphic)."""
-    if green.branch == "holomorphic":
+    if not green.inside:
         return 0.0
     val = -(green.g[0, 1] * green.g[1, 0]) / math.pi
     return float(val.real)
@@ -397,13 +393,10 @@ def _s_t_functions(rt, r1, r2):
 
 
 def _green_parts(g):
-    """(..., 2, 2) array and spectral points (None for bare arrays) of a
-    Green's function, of a :class:`_GreenStack`, or of a sequence of
-    Green's functions stacked."""
-    if isinstance(g, (GreenResult, _GreenStack)):
+    """(..., 2, 2) array and spectral points of a :class:`GreenResult`, or
+    a bare (..., 2, 2) array and None."""
+    if isinstance(g, GreenResult):
         return g.g, g.z
-    if isinstance(g, (list, tuple)):
-        return np.array([q.g for q in g]), np.array([q.z for q in g])
     return np.asarray(g), None
 
 
@@ -429,8 +422,8 @@ def build_rung(rt, gq, gp):
 
     ``gq`` and ``gp`` are the Green's functions at the two spectral
     points, as :class:`GreenResult` (or bare (2, 2) arrays for kinds whose
-    rung needs no spectral-point information); equal-length sequences of
-    them give the ``(n, 4, 4)`` stack of their pairs' rungs.  For
+    rung needs no spectral-point information); records of n points each
+    give the ``(n, 4, 4)`` stack of their pairs' rungs.  For
     elliptic ensembles the rung is the constant diagonal of second
     cumulants; for biunitary kinds only the four alternating-cumulant
     components survive; for the quantum scattering ensemble it is the
@@ -563,7 +556,7 @@ def o2_from_k(rt, z1, z2):
     pairs = stencil_pairs(z1, z2)
     index = {w: i for i, w in enumerate(
         dict.fromkeys(w for pair in pairs for w in pair))}
-    green = _solve_stack(rt, np.array(list(index)))[0]
+    green = _solve_stack(rt, np.array(list(index)))
     i1, i2 = (np.array([index[w] for w in ws]) for ws in zip(*pairs))
     k = ladder(rt, green[i1], green[i2])[0]
     k11 = dict(zip(pairs, k[:, 1, 1]))
@@ -584,9 +577,8 @@ def h_holomorphic(rt, z1, z2bar):
     """
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.conj(np.asarray(z2bar, dtype=complex))
-    green, inside = _solve_stack(rt, np.concatenate([z1.ravel(),
-                                                     z2.ravel()]))
-    if np.any(inside) or not np.all(green.g[:, 0, 0]):
+    green = _solve_stack(rt, np.concatenate([z1.ravel(), z2.ravel()]))
+    if np.any(green.inside) or not np.all(green.g[:, 0, 0]):
         raise ValueError("h_holomorphic needs both points outside the "
                          "spectrum and any hole")
     q1, q2 = (green[i] for i in np.broadcast_arrays(
@@ -654,7 +646,7 @@ def _wheel(rt, gq, gp):
 
 def wheel_from_points(rt, z1, z2):
     """Wheel generating function at two spectral points."""
-    green = _solve_stack(rt, np.array([complex(z1), complex(z2)]))[0]
+    green = _solve_stack(rt, np.array([complex(z1), complex(z2)]))
     return _wheel(rt, green[0], green[1])
 
 
@@ -672,7 +664,7 @@ def wheel_word_covariance(rt, p, q):
     """
     k = np.arange(WHEEL_N_THETA)
     thetas = 2.0 * math.pi * k / WHEEL_N_THETA
-    circle = _solve_stack(rt, WHEEL_RADIUS * np.exp(1j * thetas))[0]
+    circle = _solve_stack(rt, WHEEL_RADIUS * np.exp(1j * thetas))
     # zbar2 = R e^{i phi_k}, so z2 = R e^{-i phi_k} is circle point -k
     rows, cols = np.broadcast_arrays(k[:, None], -k % WHEEL_N_THETA)
     vals = _wheel(rt, circle[rows], circle[cols])

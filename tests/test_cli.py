@@ -277,6 +277,20 @@ class TestEstimate:
             main(["estimate", "o2", "--in", str(out)])
         assert "--pair re1,im1,re2,im2" in str(exc.value)
 
+    @pytest.mark.parametrize("what", ["rho", "o1"])
+    @pytest.mark.parametrize("opts,flag", [
+        (["--rbins", "0"], "--rbins"), (["--rbins=-3"], "--rbins"),
+        (["--rmax", "0"], "--rmax"), (["--rmax=-1"], "--rmax"),
+        (["--rmax", "nan"], "--rmax"), (["--rmax", "inf"], "--rmax"),
+    ], ids=["rbins0", "rbins-3", "rmax0", "rmax-1", "rmax_nan", "rmax_inf"])
+    def test_binned_rejects_empty_range(self, tmp_path, what, opts, flag):
+        # --rbins 0 wrote a header-only table and --rmax 0 rows of nan,
+        # both exiting 0; --rmax -1 failed with numpy's message on bins
+        out = run_sample(tmp_path, n=10, samples=3)
+        with pytest.raises(SystemExit, match=flag):
+            main(["estimate", what, "--in", str(out), *opts])
+        assert not (out / f"{what}.csv").exists()
+
     @pytest.mark.parametrize("what,opts", [
         ("o1", ["--rbins", "4", "--rmax", "1.2"]),
         ("tracecov", ["--word1", "X", "--word2", "X+"]),
@@ -414,7 +428,83 @@ class TestEstimate:
         assert main(["estimate", "rho", "--in", str(tmp_path / "nope")]) == 1
 
 
+E_ARGS = ["--model", "elliptic", "--sigma", "1", "--tau", "0.5"]
+IG_ARGS = ["--model", "induced_ginibre", "--alpha", "0.5"]
+TU_ARGS = ["--model", "truncated_unitary", "--kappa", "1"]
+PT_ARGS = ["--model", "pseudo_hermitian_product"]
+QS_ARGS = ["--model", "quantum_scattering", "--m", "1.5", "--gamma", "0.8"]
+QS_PAIR_ARGS = ["--z1=-1.137,-0.201", "--z2=-1.121,-0.502"]
+# every qsolve `what` at every R-transform kind (all five single rings),
+# inside and outside the spectrum
+QSOLVE_RUNS = [
+    ["green", *E_ARGS, "--z", "0.3,0.2"], ["green", *E_ARGS, "--z", "4,0"],
+    ["o1", *E_ARGS, "--z", "0.3,0.2"],
+    ["k", *E_ARGS, "--z1", "0.3,0.2", "--z2=-0.5,0.1"],
+    ["o2", *E_ARGS, "--z1", "0.3,0.2", "--z2=-0.5,0.1"],
+    ["h", *E_ARGS, "--z1", "3,1", "--z2", "2.5,-1"],
+    ["wheel", *E_ARGS, "--word-cov", "2,2"],
+    ["wheel", *E_ARGS, "--z1", "3,0", "--z2", "0,3"],
+    ["green", "--model", "ginibre", "--z", "0.5,0.2"],
+    ["green", "--model", "ginibre", "--z", "2,1"],
+    ["green", "--model", "ginibre", "--z", "0,0"],
+    ["o1", "--model", "ginibre", "--z", "0.5,0.2"],
+    ["k", "--model", "ginibre", "--z1", "0.5,0.2", "--z2=-0.3,0.4"],
+    ["o2", "--model", "ginibre", "--z1", "0.3,0.1", "--z2=-0.2,0.4"],
+    ["h", "--model", "ginibre", "--z1", "2,0", "--z2", "2,0"],
+    ["wheel", "--model", "ginibre", "--word-cov", "2,2"],
+    ["wheel", "--model", "ginibre", "--z1", "2,0", "--z2", "0,2"],
+    ["green", *IG_ARGS, "--z", "0.9,0"], ["o1", *IG_ARGS, "--z", "0,0.9"],
+    ["k", *IG_ARGS, "--z1=-0.0634,0.9205", "--z2=-0.8718,0.3462"],
+    ["o2", *IG_ARGS, "--z1", "0.9,0", "--z2", "0,1.1"],
+    ["h", *IG_ARGS, "--z1", "2,0", "--z2", "0,2"],
+    ["wheel", *IG_ARGS, "--word-cov", "1,1"],
+    ["green", *TU_ARGS, "--z", "0.3,0.3"], ["o1", *TU_ARGS, "--z", "0.3,0.3"],
+    ["k", *TU_ARGS, "--z1", "0.3,0.3", "--z2=-0.4,0.2"],
+    ["o2", *TU_ARGS, "--z1", "0.3,0.3", "--z2=-0.4,0.2"],
+    ["h", *TU_ARGS, "--z1", "2,1", "--z2", "2,-1"],
+    ["wheel", *TU_ARGS, "--word-cov", "2,1"],
+    ["green", "--model", "spherical", "--z", "1.3,0.4"],
+    ["o1", "--model", "spherical", "--z", "1.3,0.4"],
+    ["k", "--model", "spherical", "--z1", "1.3,0.4", "--z2=-0.5,2"],
+    ["o2", "--model", "spherical", "--z1", "1.3,0.4", "--z2=-0.5,2"],
+    ["green", "--model", "product_ginibre", "--z", "0.5,0.3"],
+    ["o1", "--model", "product_ginibre", "--z", "0.5,0.3"],
+    ["k", "--model", "product_ginibre", "--z1", "0.5,0.3", "--z2=-0.4,0.6"],
+    ["o2", "--model", "product_ginibre", "--z1", "0.5,0.3", "--z2=-0.4,0.6"],
+    ["h", "--model", "product_ginibre", "--z1", "2,0", "--z2", "2,0.5"],
+    ["wheel", "--model", "product_ginibre", "--word-cov", "1,1"],
+    ["green", *PT_ARGS, "--z", "3,1"], ["green", *PT_ARGS, "--z", "2,0"],
+    ["o1", *PT_ARGS, "--z", "2,0"],
+    ["o2", *PT_ARGS, "--z1", "1,0", "--z2", "3,0"],
+    ["h", *PT_ARGS, "--z1", "3,1", "--z2", "2,-1"],
+    ["green", *QS_ARGS, "--z", "5,0"], ["green", *QS_ARGS, "--z=-0.5,-1"],
+    ["o1", *QS_ARGS, "--z", "5,0"],
+    ["k", *QS_ARGS, *QS_PAIR_ARGS], ["o2", *QS_ARGS, *QS_PAIR_ARGS],
+    ["h", *QS_ARGS, "--z1", "5,0", "--z2", "4,3"],
+    ["wheel", *QS_ARGS, "--z1", "5,0", "--z2", "4,3"],
+]
+
+
 class TestAnalyticQsolve:
+    def test_qsolve_stdout_pinned(self, capsys):
+        # digest of the printed reprs of QSOLVE_RUNS, as the CSV bytes are
+        # pinned: a refactor of the solver keeps every bit
+        digest = hashlib.sha256()
+        for args in QSOLVE_RUNS:
+            assert main(["qsolve", *args]) == 0, args
+            digest.update(capsys.readouterr().out.encode())
+        assert digest.hexdigest() == ("a785307b3ab96f3cb2f8b16b3de91d32"
+                                      "436b1884cc838cc7dbb6ec8772797260")
+
+    @pytest.mark.parametrize("flag", ["--m", "--gamma"])
+    def test_analytic_refuses_scattering_params(self, capsys, flag):
+        # no analytic command reads them: `analytic o1 --m 2` printed the
+        # line it prints without --m and exited 0
+        with pytest.raises(SystemExit) as exc:
+            main(["analytic", "o1", "--r", "0.5", flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
     def test_analytic_outputs(self, capsys):
         assert main(["analytic", "o2", "--model", "ginibre",
                      "--z1", "0.3,0.0", "--z2=-0.2,0.1"]) == 0

@@ -268,15 +268,16 @@ class TestStackedSolve:
     @pytest.mark.parametrize("kind", sorted(STACK_POINTS))
     def test_solve_green_is_stack_of_one(self, kind):
         rt, points = STACK_POINTS[kind]
-        green, inside = qsolver._solve_stack(rt, np.array(points))
+        green = qsolver._solve_stack(rt, np.array(points))
         # both regimes are covered (the spherical bulk is the plane)
-        assert inside.any() or kind == "quantum_scattering"
-        assert not inside.all() or kind == "spherical"
+        assert green.inside.any() or kind == "quantum_scattering"
+        assert not green.inside.all() or kind == "spherical"
         for i, z in enumerate(points):
             one = qsolver.solve_green(rt, z)
             assert one.g.tobytes() == green.g[i].tobytes()
-            assert one.branch == ("nonholomorphic" if inside[i]
-                                  else "holomorphic")
+            assert one.z == green.z[i] and one.inside == green.inside[i]
+            assert one.branch == green[i].branch == (
+                "nonholomorphic" if green.inside[i] else "holomorphic")
 
     @pytest.mark.parametrize("rt,points,bad", [
         (qsolver.biunitary_rt("product_ginibre"), [0.5, 0.3j], 0.0),
@@ -328,6 +329,13 @@ class TestQuantumScatteringSupport:
             qsolver.solve_green(rt, 5.0)
         with pytest.raises(ValueError, match="gamma != 0"):
             qsolver.qs_green_scalar(5.0, 1.5, 0.0)
+
+
+def _pair_stacks(rt, pairs):
+    """The records of the first and of the second points of ``pairs``,
+    indexed into one stacked solve."""
+    green = qsolver._solve_stack(rt, np.array(pairs).ravel())
+    return green[0::2], green[1::2]
 
 
 class TestPipeline:
@@ -421,11 +429,12 @@ class TestPipeline:
         (qsolver.quantum_scattering_rt(m=1.5, gamma=0.8), *QS_PAIR),
     ], ids=["induced_ginibre", "elliptic", "quantum_scattering"])
     def test_stacks_match_single_matrices(self, rt, z1, z2):
-        q1 = [qsolver.solve_green(rt, w) for w, _ in stencil_pairs(z1, z2)]
-        q2 = [qsolver.solve_green(rt, w) for _, w in stencil_pairs(z1, z2)]
+        pairs = stencil_pairs(z1, z2)
+        q1, q2 = _pair_stacks(rt, pairs)
         b = qsolver.build_rung(rt, q1, q2)
         k, pole, det = qsolver.solve_bethe_salpeter(q1, q2, b)
-        for i, (a, c) in enumerate(zip(q1, q2)):
+        for i, (w1, w2) in enumerate(pairs):
+            a, c = qsolver.solve_green(rt, w1), qsolver.solve_green(rt, w2)
             bi = qsolver.build_rung(rt, a, c)
             ki, pi, di = qsolver.solve_bethe_salpeter(a.g, c.g, bi)
             assert np.array_equal(b[i], bi) and np.array_equal(k[i], ki)
@@ -446,9 +455,8 @@ class TestPipeline:
         ("product_ginibre", {})])
     def test_ring_ladder_is_bethe_salpeter_solve(self, kind, kwargs):
         rt = qsolver.biunitary_rt(kind, **kwargs)
-        pairs = stencil_pairs(0.9 * np.exp(0.4j), 1.1 * np.exp(2.0j))
-        q1 = [qsolver.solve_green(rt, w) for w, _ in pairs]
-        q2 = [qsolver.solve_green(rt, w) for _, w in pairs]
+        q1, q2 = _pair_stacks(
+            rt, stencil_pairs(0.9 * np.exp(0.4j), 1.1 * np.exp(2.0j)))
         k, pole, det = qsolver.solve_bethe_salpeter(
             q1, q2, qsolver.build_rung(rt, q1, q2))
         got, got_pole, got_det = qsolver.ladder(rt, q1, q2)
