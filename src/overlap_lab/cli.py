@@ -13,7 +13,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -74,12 +74,15 @@ class RunManifest:
         return cls(**data)
 
 
+_ENSEMBLE_PARAMS = fields(EnsembleSpec)[2:]  # sigma ... gamma: not kind, n
+
+
 def _ensemble_spec_from_params(params):
-    return EnsembleSpec(
-        kind=params["ensemble"], n=params["n"], sigma=params.get("sigma", 1.0),
-        tau=params.get("tau", 0.0), alpha=params.get("alpha", 0.0),
-        kappa=params.get("kappa", 1.0), m=params.get("m", 1.0),
-        gamma=params.get("gamma", 1.0))
+    missing = [f.name for f in _ENSEMBLE_PARAMS if f.name not in params]
+    if missing:
+        raise ValueError(f"manifest params lack {', '.join(missing)}")
+    return EnsembleSpec(params["ensemble"], params["n"],
+                        **{f.name: params[f.name] for f in _ENSEMBLE_PARAMS})
 
 
 def _manifest_samples(manifest):
@@ -97,8 +100,7 @@ def cmd_sample(args):
         raise SystemExit("--pair-subsample must lie in (0, 1]")
     os.makedirs(args.out, exist_ok=True)
     params = {"ensemble": args.ensemble, "n": args.n, "samples": args.samples,
-              "sigma": args.sigma, "tau": args.tau, "alpha": args.alpha,
-              "kappa": args.kappa, "m": args.m, "gamma": args.gamma,
+              **{f.name: getattr(args, f.name) for f in _ENSEMBLE_PARAMS},
               "min_separation": args.min_separation,
               "pair_subsample": args.pair_subsample}
     manifest = RunManifest("sample", params, args.seed,
@@ -163,10 +165,6 @@ def _scalar_rows(center, est):
 
 def cmd_estimate(args):
     manifest = _load_manifest(args.indir)
-    n = manifest.params["n"]
-    config = estimators.EstimatorConfig(
-        delta_min=(5.0 / np.sqrt(n)) if args.dmin == "auto"
-        else float(args.dmin))
     samples = _manifest_samples(manifest)
     if args.what in ("rho", "o1"):
         if args.rbins < 1:
@@ -176,10 +174,12 @@ def cmd_estimate(args):
         estimate = (estimators.estimate_density if args.what == "rho"
                     else estimators.estimate_o1)
         names = ["r"]
-        est = estimate(samples, np.linspace(0.0, args.rmax, args.rbins + 1),
-                       config)
+        est = estimate(samples, np.linspace(0.0, args.rmax, args.rbins + 1))
         rows = _binned_rows(est)
     elif args.what == "o2":
+        config = estimators.EstimatorConfig(
+            delta_min=(5.0 / np.sqrt(manifest.params["n"]))
+            if args.dmin == "auto" else float(args.dmin))
         if not args.pair:
             raise SystemExit(
                 "estimate o2 needs at least one --pair re1,im1,re2,im2")
@@ -196,13 +196,13 @@ def cmd_estimate(args):
     elif args.what == "hprod":
         names = ["re_z1", "im_z1", "re_z2", "im_z2"]
         est = estimators.estimate_traced_resolvent_product(
-            samples, args.z1, args.z2, config)
+            samples, args.z1, args.z2)
         rows = _scalar_rows(
             (args.z1.real, args.z1.imag, args.z2.real, args.z2.imag), est)
     else:
         names = ["word1", "word2"]
         est = estimators.estimate_trace_covariance(
-            samples, args.word1, args.word2, config)
+            samples, args.word1, args.word2)
         rows = _scalar_rows((args.word1, args.word2), est)
     _write_table(args.out or os.path.join(args.indir, f"{args.what}.csv"),
                  f"manifest {manifest.params_hash()}", names, rows)
@@ -338,13 +338,9 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_ensemble_params(sp, scattering=True):
-        sp.add_argument("--sigma", type=float, default=1.0)
-        sp.add_argument("--tau", type=float, default=0.0)
-        sp.add_argument("--alpha", type=float, default=0.0)
-        sp.add_argument("--kappa", type=float, default=1.0)
-        if scattering:  # the quantum-scattering channels
-            sp.add_argument("--m", type=float, default=1.0)
-            sp.add_argument("--gamma", type=float, default=1.0)
+        for f in _ENSEMBLE_PARAMS:  # m and gamma: the scattering channels
+            if scattering or f.name not in ("m", "gamma"):
+                sp.add_argument(f"--{f.name}", type=float, default=f.default)
 
     ps = sub.add_parser("sample", help="draw matrices, write eigen/pair CSVs")
     ps.add_argument("--ensemble", required=True, choices=KINDS)
@@ -358,19 +354,26 @@ def build_parser():
     ps.set_defaults(func=cmd_sample)
 
     pe = sub.add_parser("estimate", help="Monte Carlo estimates from a run")
-    pe.add_argument("what", choices=["rho", "o1", "o2", "hprod", "tracecov"])
-    pe.add_argument("--in", dest="indir", required=True)
-    pe.add_argument("--out", default=None)
-    pe.add_argument("--rbins", type=int, default=40)
-    pe.add_argument("--rmax", type=float, default=1.5)
-    pe.add_argument("--dmin", default="0")
-    pe.add_argument("--pair", action="append",
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--in", dest="indir", required=True)
+    run.add_argument("--out", default=None)
+    # each statistic takes only the flags it reads: any other exits 2
+    stat = pe.add_subparsers(dest="what", required=True).add_parser
+    for what in ("rho", "o1"):
+        sp = stat(what, parents=[run])
+        sp.add_argument("--rbins", type=int, default=40)
+        sp.add_argument("--rmax", type=float, default=1.5)
+    sp = stat("o2", parents=[run])
+    sp.add_argument("--dmin", default="0")
+    sp.add_argument("--pair", action="append",
                     help="re1,im1,re2,im2 window centre pair (repeatable)")
-    pe.add_argument("--half-width", type=float, default=0.25)
-    pe.add_argument("--z1", type=_complex_arg, default=2.0 + 0.0j)
-    pe.add_argument("--z2", type=_complex_arg, default=2.0 + 0.0j)
-    pe.add_argument("--word1", default="X")
-    pe.add_argument("--word2", default="X+")
+    sp.add_argument("--half-width", type=float, default=0.25)
+    sp = stat("hprod", parents=[run])
+    sp.add_argument("--z1", type=_complex_arg, default=2.0 + 0.0j)
+    sp.add_argument("--z2", type=_complex_arg, default=2.0 + 0.0j)
+    sp = stat("tracecov", parents=[run])
+    sp.add_argument("--word1", default="X")
+    sp.add_argument("--word2", default="X+")
     pe.set_defaults(func=cmd_estimate)
 
     # no abbreviations, so that --m is refused rather than read as --model

@@ -11,13 +11,16 @@ which is 1 unless ``OVERLAP_LAB_THREADS`` or a BLAS variable sets it.
 The results come back in pull order, and near-defective draws are
 dropped and counted.  On the calling thread each estimator maps a result
 to a ``(value, count)`` contribution, and one batching routine averages
-the contributions over round-robin batches for batch-means error bars.
+the contributions over ``N_BATCHES`` round-robin batches for batch-means
+error bars.  Only the two-point estimators take an
+:class:`EstimatorConfig`, for the one setting they read, ``delta_min``.
 """
 
 import re
 import warnings
 from dataclasses import dataclass
 from functools import reduce
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,25 +44,25 @@ __all__ = [
 
 REAL_TOL = 1e-8  # |Im lambda| <= REAL_TOL max(|lambda|, 1) counts as real
 RESOLVENT_MARGIN = 0.05  # eigenvalues this close to z1 or z2 draw a warning
+N_BATCHES = 20  # round-robin batches behind every batch-means error bar
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Binning and statistics configuration shared by the estimators.
+    """The one setting of the two-point estimators, ``delta_min``.
 
     ``delta_min`` excludes close pairs from macroscopic two-point
     estimates (the microscopic kernel dominates below several mean
-    spacings; the usual choice is 5/sqrt(N)).
+    spacings; the usual choice is 5/sqrt(N)).  ``n_batches`` reads the
+    module constant :data:`N_BATCHES` and cannot be set.
     """
 
     delta_min: float = 0.0
-    n_batches: int = 20
+    n_batches: ClassVar[int] = N_BATCHES
 
     def __post_init__(self):
         if not 0.0 <= self.delta_min < np.inf:
             raise ValueError("delta_min must be finite and nonnegative")
-        if self.n_batches < 2:
-            raise ValueError("need at least 2 batches for error bars")
 
 
 @dataclass
@@ -107,22 +110,22 @@ def _batch_stats(batch_values, batch_weights=None):
     return mean, err
 
 
-def _batch_means(contributions, n_batches):
+def _batch_means(contributions):
     """Batch means of per-sample ``(value, count)`` contributions.
 
-    Contribution i joins batch ``i % n_batches`` in arrival order.
+    Contribution i joins batch ``i % N_BATCHES`` in arrival order.
     Returns the mean value with its batch-means standard error over the
     non-empty batches, the summed counts and the number of
     contributions.
     """
     sums = total = None
-    sizes = np.zeros(n_batches, dtype=np.int64)
+    sizes = np.zeros(N_BATCHES, dtype=np.int64)
     for i, (value, count) in enumerate(contributions):
         if sums is None:
-            sums = np.zeros((n_batches,) + np.shape(value), dtype=complex)
+            sums = np.zeros((N_BATCHES,) + np.shape(value), dtype=complex)
             total = np.zeros(np.shape(count), dtype=np.int64)
-        sums[i % n_batches] += value
-        sizes[i % n_batches] += 1
+        sums[i % N_BATCHES] += value
+        sizes[i % N_BATCHES] += 1
         total += count
     used = sizes > 0
     if used.sum() < 2:
@@ -133,18 +136,18 @@ def _batch_means(contributions, n_batches):
     return mean, err, total, int(sizes.sum())
 
 
-def _loop_batch_means(samples, config, work, contribution):
+def _loop_batch_means(samples, work, contribution):
     """:func:`_batch_means` of ``contribution(work(x))`` over the samples:
     ``work`` runs in a :class:`MonteCarloLoop`, ``contribution`` on the
     calling thread.  Returns ``(mean, stderr, count, n_used, n_dropped,
     rejections)``.
     """
     loop = MonteCarloLoop(samples, work)
-    return (*_batch_means((contribution(r) for _, r in loop),
-                          config.n_batches), loop.n_dropped, loop.rejections)
+    return (*_batch_means(contribution(r) for _, r in loop),
+            loop.n_dropped, loop.rejections)
 
 
-def _radial(samples, radial_edges, config, o1):
+def _radial(samples, radial_edges, o1):
     """Per-annulus eigenvalue mass, weighted by O_kk / N when ``o1`` is set."""
     edges = np.asarray(radial_edges, dtype=float)
     areas = np.pi * (edges[1:] ** 2 - edges[:-1] ** 2)
@@ -159,7 +162,7 @@ def _radial(samples, radial_edges, config, o1):
         return mass / es.n ** 2, count
 
     mean, err, count, n_used, n_dropped, rejections = _loop_batch_means(
-        samples, config, eig_biorthogonal, contribution)
+        samples, eig_biorthogonal, contribution)
     if count.sum() == 0:
         warnings.warn("no eigenvalues fell into the declared bins")
     centers = 0.5 * (edges[:-1] + edges[1:])
@@ -167,17 +170,17 @@ def _radial(samples, radial_edges, config, o1):
                           count, n_used, n_dropped, rejections)
 
 
-def estimate_density(samples, radial_edges, config=EstimatorConfig()):
+def estimate_density(samples, radial_edges):
     """Radial spectral density <(1/N) sum_k delta2(z - lambda_k)>.
 
     Returns per-annulus density values; their integral over the plane
     (sum over bins times annulus areas) is <= 1, with equality when the
     bins cover the spectrum.
     """
-    return _radial(samples, radial_edges, config, o1=False)
+    return _radial(samples, radial_edges, o1=False)
 
 
-def estimate_density_real(samples, edges, config=EstimatorConfig()):
+def estimate_density_real(samples, edges):
     """Density of real eigenvalues binned along the real axis.
 
     Intended for ensembles with (predominantly) real spectra; the
@@ -197,7 +200,7 @@ def estimate_density_real(samples, edges, config=EstimatorConfig()):
         return count / es.n, count
 
     mean, err, count, n_used, n_dropped, rejections = _loop_batch_means(
-        samples, config, eig_biorthogonal, contribution)
+        samples, eig_biorthogonal, contribution)
     widths = np.diff(edges)
     centers = 0.5 * (edges[:-1] + edges[1:])
     out = BinnedEstimate(centers[:, None], mean.real / widths, err / widths,
@@ -206,13 +209,13 @@ def estimate_density_real(samples, edges, config=EstimatorConfig()):
     return out
 
 
-def estimate_o1(samples, radial_edges, config=EstimatorConfig()):
+def estimate_o1(samples, radial_edges):
     """Radial one-point eigenvector function O_1(r).
 
     Bins <(1/N) sum_k O_kk delta2(z - lambda_k)> and divides by N, the
     standard scaling that keeps the bulk value finite at large N.
     """
-    return _radial(samples, radial_edges, config, o1=True)
+    return _radial(samples, radial_edges, o1=True)
 
 
 def _separated(es, o, delta_min):
@@ -259,7 +262,7 @@ def estimate_o2_windows(samples, windows, half_width,
         return value / (es.n * area ** 2), count
 
     mean, err, count, n_used, n_dropped, rejections = _loop_batch_means(
-        samples, config, eig_with_overlaps, contribution)
+        samples, eig_with_overlaps, contribution)
     centers = np.array([[z.real, z.imag, w.real, w.imag]
                         for z, w in windows])
     return BinnedEstimate(centers, mean, err, count, n_used, n_dropped,
@@ -286,7 +289,7 @@ def estimate_o2_real_pairs(samples, edges, config=EstimatorConfig()):
         return hist.weight, hist.count
 
     mean, err, count, n_used, n_dropped, rejections = _loop_batch_means(
-        samples, config, eig_with_overlaps, contribution)
+        samples, eig_with_overlaps, contribution)
     centers = 0.5 * (edges[:-1] + edges[1:])
     out = BinnedEstimate(
         np.array([[a, b] for a in centers for b in centers]),
@@ -297,8 +300,7 @@ def estimate_o2_real_pairs(samples, edges, config=EstimatorConfig()):
     return out
 
 
-def estimate_traced_resolvent_product(samples, z1, z2,
-                                      config=EstimatorConfig()):
+def estimate_traced_resolvent_product(samples, z1, z2):
     """MC mean of (1/N) Tr[(z1 - X)^{-1} (zbar2 - X+)^{-1}].
 
     Warns when a resolvent norm indicates an eigenvalue within
@@ -327,7 +329,7 @@ def estimate_traced_resolvent_product(samples, z1, z2,
         return value, 1
 
     mean, err, _, n_used, _, rejections = _loop_batch_means(
-        samples, config, work, contribution)
+        samples, work, contribution)
     return ScalarEstimate(complex(mean), float(err), n_used, rejections)
 
 
@@ -343,14 +345,13 @@ def _word_trace(x, word):
     return np.trace(acc) / x.shape[0]
 
 
-def estimate_trace_covariance(samples, word1, word2,
-                              config=EstimatorConfig()):
+def estimate_trace_covariance(samples, word1, word2):
     """Connected covariance <t1 t2> - <t1><t2> of two word traces.
 
     ``t1 = (1/N) Tr word1(X)`` and ``t2 = (1/N) Tr word2(X)`` enter as
     written, without conjugation; spell the adjoint in the word instead,
     e.g. ('X', 'X+') estimates cov((1/N) Tr X, (1/N) Tr X+).  The samples
-    are split round-robin into ``min(n_batches, n // 2)`` batches of
+    are split round-robin into ``min(N_BATCHES, n // 2)`` batches of
     m >= 2; each batch covariance divides by m - 1, so it is unbiased,
     and the error bar is the batch-means standard error.
     """
@@ -360,7 +361,7 @@ def estimate_trace_covariance(samples, word1, word2,
     n = len(traces)
     if n < 4:
         raise ValueError("need at least 4 samples for a covariance estimate")
-    n_b = min(config.n_batches, n // 2)
+    n_b = min(N_BATCHES, n // 2)
     batch_cov = []
     for b in range(n_b):
         t1, t2 = traces[b::n_b].T

@@ -322,7 +322,7 @@ def o1_from_green(green):
     if not green.inside:
         return 0.0
     val = -(green.g[0, 1] * green.g[1, 0]) / math.pi
-    return float(val.real)
+    return float(val.real) + 0.0  # +0.0 where G_1b = 0 (a real-spectrum point)
 
 
 def _x_and_a(fspec, r):

@@ -238,6 +238,15 @@ class TestSample:
         assert not (tmp_path / "run").exists()
 
 
+# the flags each `estimate` statistic reads, and a valid value of each
+ESTIMATE_FLAGS = {"rho": ("--rbins", "--rmax"), "o1": ("--rbins", "--rmax"),
+                  "o2": ("--dmin", "--pair", "--half-width"),
+                  "hprod": ("--z1", "--z2"), "tracecov": ("--word1", "--word2")}
+FLAG_VALUES = {"--rbins": "4", "--rmax": "1.2", "--dmin": "0.3",
+               "--pair": "0.3,0,-0.3,0.1", "--half-width": "0.3",
+               "--z1": "2,0", "--z2": "2,0", "--word1": "X", "--word2": "X+"}
+
+
 class TestEstimate:
     def test_rho_and_o1(self, tmp_path):
         out = run_sample(tmp_path, n=30, samples=10)
@@ -347,6 +356,47 @@ class TestEstimate:
         path.write_text(json.dumps(data))
         assert main(["estimate", "rho", "--in", str(out),
                      "--rbins", "4", "--rmax", "1.2"]) == 0
+
+    @pytest.mark.parametrize("what,opts", [
+        ("rho", ["--dmin", "0.3"]),
+        ("hprod", ["--pair", "0.3,0,-0.3,0.1"]),
+        ("o1", ["--z1", "2,0"]),
+        ("tracecov", ["--rbins", "4"]),
+    ])
+    def test_flag_of_another_statistic_refused(self, tmp_path, capsys, what,
+                                               opts):
+        # each of these ignored its flag, wrote a table and exited 0
+        out = run_sample(tmp_path, n=10, samples=3)
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", what, "--in", str(out), *opts])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(opts)}" in \
+            capsys.readouterr().err
+        assert not (out / f"{what}.csv").exists()
+
+    @pytest.mark.parametrize("what", sorted(ESTIMATE_FLAGS))
+    def test_each_statistic_parses_only_its_flags(self, what):
+        parser = cli.build_parser()
+        for flag, value in FLAG_VALUES.items():
+            argv = ["estimate", what, "--in", "run", flag, value]
+            if flag in ESTIMATE_FLAGS[what]:
+                assert parser.parse_args(argv).indir == "run"
+                continue
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2, flag
+
+    def test_manifest_missing_a_parameter_fails(self, tmp_path, capsys):
+        # a missing parameter was read as its default, silently
+        out = run_sample(tmp_path, n=10, samples=3)
+        path = out / "manifest.json"
+        data = json.loads(path.read_text())
+        del data["params"]["tau"]
+        path.write_text(json.dumps(data))
+        assert main(["estimate", "o1", "--in", str(out),
+                     "--rbins", "4", "--rmax", "1.2"]) == 1
+        assert "manifest params lack tau" in capsys.readouterr().err
+        assert not (out / "o1.csv").exists()
 
     def test_hprod_and_tracecov(self, tmp_path):
         out = run_sample(tmp_path, n=30, samples=10)
@@ -488,13 +538,15 @@ QSOLVE_RUNS = [
 class TestAnalyticQsolve:
     def test_qsolve_stdout_pinned(self, capsys):
         # digest of the printed reprs of QSOLVE_RUNS, as the CSV bytes are
-        # pinned: a refactor of the solver keeps every bit
+        # pinned: a refactor of the solver keeps every bit (restated once,
+        # when `o1 --model pseudo_hermitian_product --z 2,0` went from
+        # o1,-0.0 to o1,0.0 and every other line kept its bytes)
         digest = hashlib.sha256()
         for args in QSOLVE_RUNS:
             assert main(["qsolve", *args]) == 0, args
             digest.update(capsys.readouterr().out.encode())
-        assert digest.hexdigest() == ("a785307b3ab96f3cb2f8b16b3de91d32"
-                                      "436b1884cc838cc7dbb6ec8772797260")
+        assert digest.hexdigest() == ("6be4382163d6722500ac5e08705a99a6"
+                                      "6fd7b8a61782942eec81e4c74b20e776")
 
     @pytest.mark.parametrize("flag", ["--m", "--gamma"])
     def test_analytic_refuses_scattering_params(self, capsys, flag):

@@ -63,8 +63,12 @@ class TestConfig:
         for delta_min in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 EstimatorConfig(delta_min=delta_min)
-        with pytest.raises(ValueError):
-            EstimatorConfig(n_batches=1)
+
+    def test_batch_count_is_a_constant(self):
+        # every caller used 20 batches: a constant, not a setting
+        assert EstimatorConfig().n_batches == estimators.N_BATCHES == 20
+        with pytest.raises(TypeError):
+            EstimatorConfig(n_batches=3)
 
 
 class TestSumRule:
@@ -271,8 +275,7 @@ class TestO2Windows:
         # the number of ordered pairs k != l in it (4), not 9 with the
         # five diagonal entries k = l
         samples = list(sample_many(EnsembleSpec("ginibre", 20), 3, 6))
-        est = estimators.estimate_o2_windows(
-            samples, [(0.3, 0.3)], 0.25, EstimatorConfig(n_batches=3))
+        est = estimators.estimate_o2_windows(samples, [(0.3, 0.3)], 0.25)
         inside = [np.count_nonzero((np.abs(lam.real - 0.3) < 0.25)
                                    & (np.abs(lam.imag) < 0.25))
                   for lam in (np.linalg.eigvals(x) for _, x, _ in samples)]
@@ -306,9 +309,9 @@ class TestO2RealPairs:
             EnsembleSpec("pseudo_hermitian_product", 20), 3, 6))
         edges = np.linspace(0.0, 12.0, 7)
         every = estimators.estimate_o2_real_pairs(
-            samples, edges, EstimatorConfig(delta_min=0.0, n_batches=3))
+            samples, edges, EstimatorConfig(delta_min=0.0))
         none = estimators.estimate_o2_real_pairs(
-            samples, edges, EstimatorConfig(delta_min=100.0, n_batches=3))
+            samples, edges, EstimatorConfig(delta_min=100.0))
         assert every.count.sum() > 0
         assert none.count.sum() == 0
         assert np.all(none.estimate == 0)
@@ -388,13 +391,13 @@ class TestTraceCovariance:
         assert est.value.real * n ** 2 == pytest.approx(1.0, abs=0.2)
 
     def test_unbiased_batch_covariance(self):
-        # +-1 draws of variance 1: the four batches of two hold every
-        # ordered pair once, so the unbiased batch covariances average
-        # to exactly 1 (dividing by m instead of m - 1 gives 0.5)
+        # +-1 draws of variance 1: eight samples make min(N_BATCHES, 4)
+        # = 4 batches of two, which hold every ordered pair once, so the
+        # unbiased batch covariances average to exactly 1 (dividing by m
+        # instead of m - 1 gives 0.5)
         values = [1, 1, -1, -1, 1, -1, 1, -1]
         samples = [np.array([[v]], dtype=complex) for v in values]
-        est = estimators.estimate_trace_covariance(
-            samples, "X", "X", EstimatorConfig(n_batches=4))
+        est = estimators.estimate_trace_covariance(samples, "X", "X")
         assert est.value == 1.0
 
     def test_error_scaling(self):

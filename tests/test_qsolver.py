@@ -104,6 +104,15 @@ class TestScalarGreens:
         with pytest.raises(ValueError):
             qsolver.pt_green_scalar(0.0)
 
+    @pytest.mark.parametrize("x", [0.5, 2.0, 8.0])
+    def test_pt_o1_on_real_spectrum_is_positive_zero(self, x):
+        # a point of the real spectrum is tagged nonholomorphic with
+        # G_1b = 0, and -(0 * 0)/pi printed `qsolve o1 ... --z 2,0` as
+        # o1,-0.0
+        res = qsolver.solve_green(qsolver.pseudo_hermitian_rt(), x)
+        o1 = qsolver.o1_from_green(res)
+        assert o1 == 0.0 and math.copysign(1.0, o1) == 1.0
+
     def test_qs_cubic_residual(self):
         # GUE g + 1/g plus the channel R-transform m i gamma/(1 - i gamma g)
         m, gamma = 2.0, 0.7
