@@ -1,9 +1,11 @@
 """Command line interface for reproducible sampling/estimation runs.
 
 Every command is a pure function of its arguments: sampling is driven by
-counter-based RNG streams recorded in a run manifest, and the estimate
-commands regenerate matrices from the manifest rather than parsing bulk
-CSVs, so reruns are byte-identical on one platform.
+counter-based RNG streams recorded in a run manifest, so reruns are
+byte-identical on one platform.  ``estimate rho`` and ``estimate o1`` bin
+the run's eigen.csv, once its sha256 matches the one the manifest
+records; the other statistics need more than eigen.csv holds and redraw
+the matrices from the manifest's seed and parameters.
 """
 
 import argparse
@@ -21,8 +23,11 @@ from . import __version__
 from . import analytic, estimators, qsolver
 from .ensembles import KINDS, EnsembleSpec, sample_many
 from .numcore import RngStream
-from .overlaps import (MonteCarloLoop, eig_with_overlaps, eigen_rows,
-                       pair_rows, write_eigen_csv, write_pairs_csv)
+from .overlaps import (MonteCarloLoop, diagonal_overlaps, eig_with_overlaps,
+                       eigen_rows, pair_rows, write_eigen_csv,
+                       write_pairs_csv)
+
+HASH_CHUNK = 1 << 20  # bytes read at a time when hashing an output file
 
 
 def _complex_arg(text):
@@ -33,6 +38,30 @@ def _complex_arg(text):
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected re,im - got {text!r}")
     return complex(float(parts[0]), float(parts[1]))
+
+
+def _positive_int(text):
+    """Parse an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _file_sha256(path):
+    """Hex sha256 of a file, read ``HASH_CHUNK`` bytes at a time into one
+    buffer."""
+    digest = hashlib.sha256()
+    buf = bytearray(HASH_CHUNK)
+    view = memoryview(buf)
+    with open(path, "rb") as fh:
+        while size := fh.readinto(buf):
+            digest.update(view[:size])
+    return digest.hexdigest()
 
 
 @dataclass
@@ -58,9 +87,7 @@ class RunManifest:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def record_output(self, path):
-        with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).hexdigest()
-        self.outputs[os.path.basename(path)] = digest
+        self.outputs[os.path.basename(path)] = _file_sha256(path)
 
     def write(self, path):
         with open(path, "w") as fh:
@@ -85,11 +112,6 @@ def _ensemble_spec_from_params(params):
                         **{f.name: params[f.name] for f in _ENSEMBLE_PARAMS})
 
 
-def _manifest_samples(manifest):
-    spec = _ensemble_spec_from_params(manifest.params)
-    return sample_many(spec, manifest.seed, manifest.params["samples"])
-
-
 # Stream index of the pair-subsampling generator: no ``sample_many``
 # run can reach it, so its draws never repeat a sample stream's.
 PAIR_SUBSAMPLE_STREAM = 2 ** 64 - 1
@@ -112,7 +134,7 @@ def cmd_sample(args):
     systems = MonteCarloLoop(sample_many(spec, args.seed, args.samples),
                              eig_with_overlaps)
     for k, (es, o) in systems:
-        eblocks.append(eigen_rows(k, es, np.real(np.diagonal(o))))
+        eblocks.append(eigen_rows(k, es, diagonal_overlaps(es)))
         pblocks.append(pair_rows(k, es, o,
                                  min_separation=args.min_separation,
                                  subsample=args.pair_subsample,
@@ -133,6 +155,33 @@ def cmd_sample(args):
 
 def _load_manifest(in_dir):
     return RunManifest.load(os.path.join(in_dir, "manifest.json"))
+
+
+def _eigen_blocks(in_dir, manifest):
+    """The per-sample ``(eigenvalues, o_kk)`` blocks of a run's eigen.csv.
+
+    The file must have the sha256 that ``manifest.outputs`` records for
+    it; a missing or altered file raises ``ValueError`` naming it.
+    """
+    path = os.path.join(in_dir, "eigen.csv")
+    try:
+        digest = _file_sha256(path)
+    except FileNotFoundError:
+        raise ValueError(f"{path} is missing") from None
+    if digest != manifest.outputs.get("eigen.csv"):
+        raise ValueError(f"{path} does not match the sha256 that "
+                         f"manifest.json records for it")
+    with open(path, newline="") as fh:
+        rows = [line for line in fh if not line.startswith("#")][1:]
+    if not rows:  # every sample was dropped
+        return []
+    # shortest round-trip text: the floats come back bit for bit
+    table = np.loadtxt(rows, delimiter=",", ndmin=2).reshape(-1, 5)
+    lam = np.empty(len(table), dtype=complex)
+    lam.real, lam.imag = table[:, 2], table[:, 3]
+    o_kk = table[:, 4].copy()
+    starts = np.flatnonzero(np.diff(table[:, 0])) + 1
+    return zip(np.split(lam, starts), np.split(o_kk, starts))
 
 
 def _write_table(out, tag, names, rows):
@@ -165,16 +214,23 @@ def _scalar_rows(center, est):
 
 def cmd_estimate(args):
     manifest = _load_manifest(args.indir)
-    samples = _manifest_samples(manifest)
+    spec = _ensemble_spec_from_params(manifest.params)
+
+    def redraw():
+        """The run's matrices, drawn again from its seed and parameters."""
+        return sample_many(spec, manifest.seed, manifest.params["samples"])
+
     if args.what in ("rho", "o1"):
         if args.rbins < 1:
             raise SystemExit("--rbins must be at least 1")
         if not 0.0 < args.rmax < np.inf:
             raise SystemExit("--rmax must be positive and finite")
-        estimate = (estimators.estimate_density if args.what == "rho"
-                    else estimators.estimate_o1)
         names = ["r"]
-        est = estimate(samples, np.linspace(0.0, args.rmax, args.rbins + 1))
+        est = estimators.estimate_radial(
+            _eigen_blocks(args.indir, manifest),
+            np.linspace(0.0, args.rmax, args.rbins + 1), args.what == "o1")
+        est.n_dropped = manifest.results.get("n_dropped", 0)
+        est.rejections = manifest.results.get("rejections", 0)
         rows = _binned_rows(est)
     elif args.what == "o2":
         config = estimators.EstimatorConfig(
@@ -190,19 +246,19 @@ def cmd_estimate(args):
                 raise SystemExit("--pair expects re1,im1,re2,im2")
             windows.append((complex(a[0], a[1]), complex(a[2], a[3])))
         names = ["re_z", "im_z", "re_w", "im_w"]
-        est = estimators.estimate_o2_windows(samples, windows,
+        est = estimators.estimate_o2_windows(redraw(), windows,
                                              args.half_width, config)
         rows = _binned_rows(est)
     elif args.what == "hprod":
         names = ["re_z1", "im_z1", "re_z2", "im_z2"]
         est = estimators.estimate_traced_resolvent_product(
-            samples, args.z1, args.z2)
+            redraw(), args.z1, args.z2)
         rows = _scalar_rows(
             (args.z1.real, args.z1.imag, args.z2.real, args.z2.imag), est)
     else:
         names = ["word1", "word2"]
         est = estimators.estimate_trace_covariance(
-            samples, args.word1, args.word2)
+            redraw(), args.word1, args.word2)
         rows = _scalar_rows((args.word1, args.word2), est)
     _write_table(args.out or os.path.join(args.indir, f"{args.what}.csv"),
                  f"manifest {manifest.params_hash()}", names, rows)
@@ -345,7 +401,7 @@ def build_parser():
     ps = sub.add_parser("sample", help="draw matrices, write eigen/pair CSVs")
     ps.add_argument("--ensemble", required=True, choices=KINDS)
     ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--samples", type=int, required=True)
+    ps.add_argument("--samples", type=_positive_int, required=True)
     ps.add_argument("--seed", type=int, required=True)
     ps.add_argument("--out", required=True)
     ps.add_argument("--min-separation", type=float, default=0.0)

@@ -14,6 +14,10 @@ to a ``(value, count)`` contribution, and one batching routine averages
 the contributions over ``N_BATCHES`` round-robin batches for batch-means
 error bars.  Only the two-point estimators take an
 :class:`EstimatorConfig`, for the one setting they read, ``delta_min``.
+:func:`estimate_radial` bins eigenvalues and diagonal overlaps that are
+already known, one ``(eigenvalues, o_kk)`` block per sample, such as the
+rows of a run's eigen.csv; :func:`estimate_density` and
+:func:`estimate_o1` feed it from the loop.
 """
 
 import re
@@ -35,6 +39,7 @@ __all__ = [
     "estimate_density",
     "estimate_density_real",
     "estimate_o1",
+    "estimate_radial",
     "estimate_o2_windows",
     "estimate_o2_real_pairs",
     "estimate_traced_resolvent_product",
@@ -147,27 +152,48 @@ def _loop_batch_means(samples, work, contribution):
             loop.n_dropped, loop.rejections)
 
 
-def _radial(samples, radial_edges, o1):
-    """Per-annulus eigenvalue mass, weighted by O_kk / N when ``o1`` is set."""
+def estimate_radial(blocks, radial_edges, o1):
+    """Radial density, or O_1(r) when ``o1`` is set, binned from per-sample
+    ``(eigenvalues, o_kk)`` blocks.
+
+    Each block is one sample's N eigenvalues with their diagonal overlaps
+    (``o_kk`` may be None when ``o1`` is not set).  Block i joins batch
+    ``i % N_BATCHES``.  The annulus mass of a block is its eigenvalue
+    count over N, or its O_kk sum over N^2 for O_1; the estimate divides
+    it by the annulus area.  The result's ``n_dropped`` and
+    ``rejections`` are 0: the caller knows them and sets them.
+    """
     edges = np.asarray(radial_edges, dtype=float)
     areas = np.pi * (edges[1:] ** 2 - edges[:-1] ** 2)
 
-    def contribution(es):
-        r = np.abs(es.eigenvalues)
+    def contribution(block):
+        lam, o_kk = block
+        n = len(lam)
+        r = np.abs(lam)
         count, _ = np.histogram(r, bins=edges)
         if not o1:
-            return count / es.n, count
-        mass, _ = np.histogram(r, bins=edges,
-                               weights=diagonal_overlaps(es).real)
-        return mass / es.n ** 2, count
+            return count / n, count
+        mass, _ = np.histogram(r, bins=edges, weights=o_kk)
+        return mass / n ** 2, count
 
-    mean, err, count, n_used, n_dropped, rejections = _loop_batch_means(
-        samples, eig_biorthogonal, contribution)
+    mean, err, count, n_used = _batch_means(map(contribution, blocks))
     if count.sum() == 0:
         warnings.warn("no eigenvalues fell into the declared bins")
     centers = 0.5 * (edges[:-1] + edges[1:])
     return BinnedEstimate(centers[:, None], mean.real / areas, err / areas,
-                          count, n_used, n_dropped, rejections)
+                          count, n_used)
+
+
+def _radial(samples, radial_edges, o1):
+    """:func:`estimate_radial` of the decomposed samples."""
+    def work(x):
+        es = eig_biorthogonal(x)
+        return es.eigenvalues, diagonal_overlaps(es) if o1 else None
+
+    loop = MonteCarloLoop(samples, work)
+    est = estimate_radial((block for _, block in loop), radial_edges, o1)
+    est.n_dropped, est.rejections = loop.n_dropped, loop.rejections
+    return est
 
 
 def estimate_density(samples, radial_edges):

@@ -62,6 +62,15 @@ def wirtinger_mixed_derivative(f, z1, z2):
     return (4.0 * fine - coarse) / 3.0
 
 
+def _bin_index(edges, v):
+    """Index of the bin of each ``v`` among ``edges``, 0 below and
+    ``len(edges)`` above (or at NaN), as ``np.histogramdd`` numbers them."""
+    v = np.asarray(v, dtype=float)
+    index = np.searchsorted(edges, v, side="right")
+    index[v == edges[-1]] -= 1  # the right edge closes the last bin
+    return index
+
+
 class PairHistogram:
     """2D-binned accumulator over coordinate pairs with complex weights.
 
@@ -81,17 +90,24 @@ class PairHistogram:
         self.count = np.zeros(shape, dtype=np.int64)
 
     def accumulate(self, x, y, weights):
-        """Add pairs with coordinates ``(x, y)`` and complex weights."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        """Add pairs with coordinates ``(x, y)`` and complex weights.
+
+        Binned as ``np.histogram2d`` bins, bitwise: each bin holds its left
+        edge, the last also its right edge, and a point outside the edges
+        or at NaN is left out.
+        """
         weights = np.asarray(weights, dtype=complex)
-        w_sum, _, _ = np.histogram2d(x, y, bins=(self.edges1, self.edges2),
-                                     weights=weights.real)
-        w_imag, _, _ = np.histogram2d(x, y, bins=(self.edges1, self.edges2),
-                                      weights=weights.imag)
-        cnt, _, _ = np.histogram2d(x, y, bins=(self.edges1, self.edges2))
-        self.weight += w_sum + 1j * w_imag
-        self.count += cnt.astype(np.int64)
+        n1, n2 = self.count.shape
+        # flat index into the bins padded by one outlier bin on each side
+        flat = (_bin_index(self.edges1, x) * (n2 + 2)
+                + _bin_index(self.edges2, y))
+
+        def binned(w=None):
+            return np.bincount(flat, w, minlength=(n1 + 2) * (n2 + 2)) \
+                .reshape(n1 + 2, n2 + 2)[1:-1, 1:-1]
+
+        self.weight += binned(weights.real) + 1j * binned(weights.imag)
+        self.count += binned()
 
     def bin_areas(self):
         d1 = np.diff(self.edges1)

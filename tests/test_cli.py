@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overlap_lab import cli, overlaps
+from overlap_lab import cli, estimators, overlaps
 from overlap_lab.cli import _complex_arg, main
 from overlap_lab.ensembles import EnsembleSpec, sample_many
 from overlap_lab.numcore import RngStream
@@ -127,8 +127,8 @@ class TestSample:
         digest = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                   for name in ("eigen.csv", "pairs.csv")}
         assert digest == {
-            "eigen.csv": "3bc8fe26ef6d6b89e37e3ca766ebbbc0"
-                         "ded80328dacb6da960bfdcac9966e8c7",
+            "eigen.csv": "4241c26994283a017a291a387d949f38"
+                         "f2d3ed4dbdd60573e403cf56440fca27",
             "pairs.csv": "2604b93187c9051c67253c5141725310"
                          "f38557320289b9d255a3fb447353aaf6"}
 
@@ -237,6 +237,39 @@ class TestSample:
             run_sample(tmp_path, extra=("--pair-subsample", frac))
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_samples_below_one_refused(self, tmp_path, capsys, samples):
+        # --samples 0 wrote header-only CSVs and exited 0
+        with pytest.raises(SystemExit) as exc:
+            run_sample(tmp_path, samples=samples)
+        assert exc.value.code == 2
+        assert "--samples: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_one_sample_allowed(self, tmp_path):
+        out = run_sample(tmp_path, samples=1)
+        assert {r["sample_id"] for r in read_csv(out / "eigen.csv")} == {"0"}
+
+    def test_o_kk_is_diagonal_overlaps(self, tmp_path):
+        out = run_sample(tmp_path, n=12, samples=3)
+        rows = read_csv(out / "eigen.csv")
+        for k, x, _ in sample_many(EnsembleSpec("ginibre", 12), 7, 3):
+            es = overlaps.eig_biorthogonal(x)
+            got = np.array([float(r["o_kk"]) for r in rows
+                            if r["sample_id"] == str(k)])
+            assert got.tobytes() == overlaps.diagonal_overlaps(es).tobytes()
+            o = np.diagonal(overlaps.overlap_matrix(es)).real
+            assert np.max(np.abs(got - o) / o) <= 1e-12
+
+    def test_record_output_digest_of_multichunk_file(self, tmp_path):
+        path = tmp_path / "big.bin"
+        data = np.random.default_rng(3).bytes(2 * cli.HASH_CHUNK + 123)
+        path.write_bytes(data)
+        manifest = cli.RunManifest("sample", {}, 0)
+        manifest.record_output(str(path))
+        assert manifest.outputs == {
+            "big.bin": hashlib.sha256(data).hexdigest()}
+
 
 # the flags each `estimate` statistic reads, and a valid value of each
 ESTIMATE_FLAGS = {"rho": ("--rbins", "--rmax"), "o1": ("--rbins", "--rmax"),
@@ -314,6 +347,13 @@ class TestEstimate:
         monkeypatch.setattr(cli, "sample_many", lambda spec, seed, n: (
             (k, x, {"rejections": 3}) for k, x, _ in draws))
         table = (out / f"{what}.csv").read_bytes()
+        if what == "o1":
+            # o1 bins eigen.csv and draws nothing, so the rejections are
+            # the sample run's, as its manifest records them
+            out = run_sample(tmp_path, name="rejecting", n=10, samples=4)
+            monkeypatch.undo()
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["results"]["rejections"] == 12
         assert main(["estimate", what, "--in", str(out), *opts]) == 0
         assert "sampler rejections: 12" in capsys.readouterr().out
         assert (out / f"{what}.csv").read_bytes() == table
@@ -334,6 +374,13 @@ class TestEstimate:
             return schur(x)
 
         monkeypatch.setattr(overlaps, "_schur", one_defective)
+        if what == "o1":
+            # o1 decomposes nothing: the drop is the sample run's, as its
+            # manifest records it
+            out = run_sample(tmp_path, name="dropping", n=10, samples=4)
+            monkeypatch.undo()
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["results"]["n_dropped"] == 1
         assert main(["estimate", what, "--in", str(out), *opts]) == 0
         assert "near-defective samples dropped: 1" in capsys.readouterr().out
 
@@ -476,6 +523,59 @@ class TestEstimate:
 
     def test_missing_run_dir_exit_code(self, tmp_path):
         assert main(["estimate", "rho", "--in", str(tmp_path / "nope")]) == 1
+
+    @pytest.mark.parametrize("what", ["rho", "o1"])
+    def test_eigen_csv_route_matches_estimators(self, tmp_path, monkeypatch,
+                                                capsys, what):
+        # the same draws as the estimator sees them: one near-defective,
+        # and every draw reporting two sampler rejections
+        n = 10
+        draws = [(k, x, {"rejections": 2}) for k, x, _ in
+                 sample_many(EnsembleSpec("ginibre", n), 7, 6)]
+        draws[2] = (2, np.eye(n, k=1) + 0.5 * np.eye(n), {"rejections": 2})
+        monkeypatch.setattr(cli, "sample_many", lambda spec, seed, k: draws)
+        out = run_sample(tmp_path, n=n, samples=6)
+        monkeypatch.undo()
+        edges = np.linspace(0.0, 1.2, 5)
+        estimate = (estimators.estimate_o1 if what == "o1"
+                    else estimators.estimate_density)
+        ref = estimate(draws, edges)
+        manifest = cli.RunManifest.load(out / "manifest.json")
+        got = estimators.estimate_radial(cli._eigen_blocks(out, manifest),
+                                         edges, what == "o1")
+        for name in ("centers", "estimate", "stderr", "count"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+        assert got.n_samples == ref.n_samples == 5
+        assert (ref.n_dropped, ref.rejections) == (1, 12)
+        assert main(["estimate", what, "--in", str(out),
+                     "--rbins", "4", "--rmax", "1.2"]) == 0
+        printed = capsys.readouterr().out
+        assert "sampler rejections: 12" in printed
+        assert "near-defective samples dropped: 1" in printed
+        assert [tuple(map(float, r.values()))
+                for r in read_csv(out / f"{what}.csv")] == [
+            tuple(map(float, row)) for row in cli._binned_rows(ref)]
+
+    @pytest.mark.parametrize("what", ["rho", "o1"])
+    @pytest.mark.parametrize("damage", ["flipped", "deleted", "unrecorded"])
+    def test_eigen_csv_checked_against_manifest(self, tmp_path, capsys, what,
+                                                damage):
+        out = run_sample(tmp_path, n=10, samples=3)
+        path = out / "eigen.csv"
+        if damage == "flipped":
+            data = bytearray(path.read_bytes())
+            data[-5] ^= 1  # a digit of the last o_kk: still a number
+            path.write_bytes(bytes(data))
+        elif damage == "deleted":
+            path.unlink()
+        else:
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["outputs"]["eigen.csv"]
+            (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["estimate", what, "--in", str(out),
+                     "--rbins", "4", "--rmax", "1.2"]) == 1
+        assert str(path) in capsys.readouterr().err
+        assert not (out / f"{what}.csv").exists()
 
 
 E_ARGS = ["--model", "elliptic", "--sigma", "1", "--tau", "0.5"]

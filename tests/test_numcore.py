@@ -62,6 +62,32 @@ class TestPairHistogram:
         assert h.weight[0, 1] == 2.0
         assert h.weight[3, 1] == -1j
 
+    def test_matches_histogram2d_bitwise(self):
+        # interior edges, right edges, points outside and NaN, accumulated
+        # twice so that the sums also run on top of nonzero bins
+        e1, e2 = np.linspace(-1.0, 3.0, 9), np.array([-2.0, -0.3, 0.1, 2.5])
+        rng = np.random.default_rng(5)
+        x, y = rng.uniform(-1.5, 3.5, 600), rng.uniform(-2.5, 3.0, 600)
+        x[:60], y[60:120] = rng.choice(e1, 60), rng.choice(e2, 60)
+        x[120:130], y[130:140] = e1[-1], e2[-1]
+        x[140:145], y[145:150] = np.nan, np.nan
+        x[150:155], y[155:160] = -np.inf, np.inf
+        w = rng.normal(size=600) + 1j * rng.normal(size=600)
+        h = PairHistogram(e1, e2)
+        weight = np.zeros(h.weight.shape, complex)
+        count = np.zeros(h.count.shape, np.int64)
+        for _ in range(2):
+            h.accumulate(x, y, w)
+            re, im, cnt = (np.histogram2d(x, y, bins=(e1, e2), weights=v)[0]
+                           for v in (w.real, w.imag, None))
+            weight += re + 1j * im
+            count += cnt.astype(np.int64)
+        assert np.array_equal(h.weight.view(np.uint64),
+                              weight.view(np.uint64))
+        assert h.count.dtype == np.int64
+        assert np.array_equal(h.count, count)
+        assert 0 < count.sum() < 2 * 600
+
     def test_bin_areas(self):
         h = PairHistogram(*self.edges())
         assert np.allclose(h.bin_areas(), 0.25 * 1.0)
