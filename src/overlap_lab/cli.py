@@ -15,13 +15,14 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__
 from . import analytic, estimators, qsolver
-from .ensembles import KINDS, EnsembleSpec, sample_many
+from .ensembles import (DEFAULTS, KINDS, PARAMS, EnsembleSpec, check_params,
+                        sample_many)
 from .numcore import RngStream
 from .overlaps import (MonteCarloLoop, diagonal_overlaps, eig_with_overlaps,
                        eigen_rows, pair_rows, write_eigen_csv,
@@ -101,15 +102,12 @@ class RunManifest:
         return cls(**data)
 
 
-_ENSEMBLE_PARAMS = fields(EnsembleSpec)[2:]  # sigma ... gamma: not kind, n
-
-
 def _ensemble_spec_from_params(params):
-    missing = [f.name for f in _ENSEMBLE_PARAMS if f.name not in params]
+    missing = [name for name in DEFAULTS if name not in params]
     if missing:
         raise ValueError(f"manifest params lack {', '.join(missing)}")
     return EnsembleSpec(params["ensemble"], params["n"],
-                        **{f.name: params[f.name] for f in _ENSEMBLE_PARAMS})
+                        **{name: params[name] for name in DEFAULTS})
 
 
 # Stream index of the pair-subsampling generator: no ``sample_many``
@@ -120,15 +118,17 @@ PAIR_SUBSAMPLE_STREAM = 2 ** 64 - 1
 def cmd_sample(args):
     if args.pair_subsample is not None and not 0 < args.pair_subsample <= 1:
         raise SystemExit("--pair-subsample must lie in (0, 1]")
-    os.makedirs(args.out, exist_ok=True)
+    if not 0 <= args.min_separation < np.inf:
+        raise SystemExit("--min-separation must be finite and at least 0")
     params = {"ensemble": args.ensemble, "n": args.n, "samples": args.samples,
-              **{f.name: getattr(args, f.name) for f in _ENSEMBLE_PARAMS},
+              **{name: getattr(args, name) for name in DEFAULTS},
               "min_separation": args.min_separation,
               "pair_subsample": args.pair_subsample}
+    spec = _ensemble_spec_from_params(params)
+    os.makedirs(args.out, exist_ok=True)
     manifest = RunManifest("sample", params, args.seed,
                            created=time.strftime("%Y-%m-%dT%H:%M:%S"))
     tag = f"manifest {manifest.params_hash()}"
-    spec = _ensemble_spec_from_params(params)
     eblocks, pblocks = [], []
     sub_rng = RngStream(args.seed, PAIR_SUBSAMPLE_STREAM).generator()
     systems = MonteCarloLoop(sample_many(spec, args.seed, args.samples),
@@ -151,10 +151,6 @@ def cmd_sample(args):
     print(f"wrote {sum(map(len, eblocks))} eigen rows, "
           f"{sum(map(len, pblocks))} pair rows to {args.out}")
     return 0
-
-
-def _load_manifest(in_dir):
-    return RunManifest.load(os.path.join(in_dir, "manifest.json"))
 
 
 def _eigen_blocks(in_dir, manifest):
@@ -213,7 +209,7 @@ def _scalar_rows(center, est):
 
 
 def cmd_estimate(args):
-    manifest = _load_manifest(args.indir)
+    manifest = RunManifest.load(os.path.join(args.indir, "manifest.json"))
     spec = _ensemble_spec_from_params(manifest.params)
 
     def redraw():
@@ -270,15 +266,12 @@ def cmd_estimate(args):
 
 
 def _rt_from_args(args):
-    kind = args.model
-    if kind == "elliptic":
-        return qsolver.elliptic_rt(args.sigma, args.tau)
-    if kind == "pseudo_hermitian_product":
-        return qsolver.pseudo_hermitian_rt()
-    if kind == "quantum_scattering":
-        return qsolver.quantum_scattering_rt(args.m, args.gamma)
-    # any other model is a single ring, which radial_cdf defines or rejects
-    return qsolver.biunitary_rt(kind, alpha=args.alpha, kappa=args.kappa)
+    kind = args.ensemble
+    params = {name: getattr(args, name) for name in PARAMS[kind]}
+    make = {"elliptic": qsolver.elliptic_rt,
+            "pseudo_hermitian_product": qsolver.pseudo_hermitian_rt,
+            "quantum_scattering": qsolver.quantum_scattering_rt}.get(kind)
+    return make(**params) if make else qsolver.biunitary_rt(kind, **params)
 
 
 def _print_complex(label, value):
@@ -333,7 +326,7 @@ def cmd_qsolve(args):
             print(",".join(repr(float(v))
                            for z in row for v in (z.real, z.imag)))
     elif args.what == "o2":
-        if (args.model == "pseudo_hermitian_product"
+        if (args.ensemble == "pseudo_hermitian_product"
                 and args.z1.imag == 0 and args.z2.imag == 0):
             val = qsolver.o2_real_spectrum(rt, args.z1.real, args.z2.real)
         else:
@@ -354,14 +347,9 @@ def cmd_qsolve(args):
 
 
 def _read_table(path):
-    rows = []
     with open(path, newline="") as fh:
-        for line in fh:
-            if line.startswith("#"):
-                continue
-            rows.append(line.strip())
-    reader = csv.DictReader(rows)
-    return list(reader), reader.fieldnames
+        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
+        return list(reader), reader.fieldnames
 
 
 def cmd_compare(args):
@@ -369,6 +357,13 @@ def cmd_compare(args):
     ref, names_b = _read_table(args.ref)
     if len(got) != len(ref):
         raise SystemExit("tables have different numbers of rows")
+    # rows pair by position: key columns (before estimate_re) must match
+    keys = names_a[:names_a.index("estimate_re")]
+    if names_b[:names_b.index("estimate_re")] != keys:
+        raise SystemExit("tables have different key columns")
+    for i, (a, b) in enumerate(zip(got, ref)):
+        if any(a[k] != b[k] for k in keys):
+            raise SystemExit(f"row {i}: key columns differ between tables")
     failures = 0
     print("row,residual,zscore,status")
     for i, (a, b) in enumerate(zip(got, ref)):
@@ -393,10 +388,9 @@ def build_parser():
                     "formulas.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_ensemble_params(sp, scattering=True):
-        for f in _ENSEMBLE_PARAMS:  # m and gamma: the scattering channels
-            if scattering or f.name not in ("m", "gamma"):
-                sp.add_argument(f"--{f.name}", type=float, default=f.default)
+    def add_ensemble_params(sp, names):
+        for name in names:
+            sp.add_argument(f"--{name}", type=float, default=DEFAULTS[name])
 
     ps = sub.add_parser("sample", help="draw matrices, write eigen/pair CSVs")
     ps.add_argument("--ensemble", required=True, choices=KINDS)
@@ -406,7 +400,7 @@ def build_parser():
     ps.add_argument("--out", required=True)
     ps.add_argument("--min-separation", type=float, default=0.0)
     ps.add_argument("--pair-subsample", type=float, default=None)
-    add_ensemble_params(ps)
+    add_ensemble_params(ps, DEFAULTS)
     ps.set_defaults(func=cmd_sample)
 
     pe = sub.add_parser("estimate", help="Monte Carlo estimates from a run")
@@ -446,18 +440,19 @@ def build_parser():
     pa.add_argument("--rout", type=float, default=1.0)
     pa.add_argument("--raw", action="store_true",
                     help="skip the N+1 pair-density normalization")
-    add_ensemble_params(pa, scattering=False)
+    # no closed form reads the scattering parameters m and gamma
+    add_ensemble_params(pa, ("sigma", "tau", "alpha", "kappa"))
     pa.set_defaults(func=cmd_analytic)
 
     pq = sub.add_parser("qsolve", help="quaternionic large-N solver")
     pq.add_argument("what", choices=["green", "o1", "k", "o2", "h", "wheel"])
-    pq.add_argument("--model", required=True)
+    pq.add_argument("--model", dest="ensemble", required=True, choices=KINDS)
     pq.add_argument("--z", type=_complex_arg, default=0.0 + 0.0j)
     pq.add_argument("--z1", type=_complex_arg, default=2.0 + 0.0j)
     pq.add_argument("--z2", type=_complex_arg, default=2.0 + 0.0j)
     pq.add_argument("--word-cov", default=None,
                     help="p,q word lengths for wheel coefficients")
-    add_ensemble_params(pq)
+    add_ensemble_params(pq, DEFAULTS)
     pq.set_defaults(func=cmd_qsolve)
 
     pc = sub.add_parser("compare", help="tolerance report between tables")
@@ -472,6 +467,16 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command in ("sample", "qsolve"):
+        # a refusal is a usage error, met before any file is written; its
+        # message starts with the parameter's name, so "--" names the flag
+        try:
+            if args.command == "sample":
+                RngStream(args.seed)
+            check_params(args.ensemble,
+                         {name: getattr(args, name) for name in DEFAULTS})
+        except ValueError as exc:
+            parser.error(f"--{exc}")
     try:
         return args.func(args)
     except SystemExit:

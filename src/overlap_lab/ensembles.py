@@ -9,25 +9,28 @@ elliptic ensemble interpolates between these with pair covariances
 ``<X_ab X+_cd> = sigma^2 delta_ad delta_bc / N``.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .numcore import RngStream
 from .overlaps import COND_LIMIT
 
-__all__ = ["EnsembleSpec", "sample", "KINDS"]
+__all__ = ["EnsembleSpec", "sample", "KINDS", "PARAMS", "check_params"]
 
-KINDS = (
-    "ginibre",
-    "elliptic",
-    "induced_ginibre",
-    "truncated_unitary",
-    "spherical",
-    "product_ginibre",
-    "pseudo_hermitian_product",
-    "quantum_scattering",
-)
+# the parameters each kind reads; a kind keeps every other at its default
+PARAMS = {
+    "ginibre": (),
+    "elliptic": ("sigma", "tau"),
+    "induced_ginibre": ("alpha",),
+    "truncated_unitary": ("kappa",),
+    "spherical": (),
+    "product_ginibre": (),
+    "pseudo_hermitian_product": (),
+    "quantum_scattering": ("m", "gamma"),
+}
+KINDS = tuple(PARAMS)
 
 
 @dataclass(frozen=True)
@@ -37,7 +40,8 @@ class EnsembleSpec:
     Parameters
     ----------
     kind : str
-        One of :data:`KINDS`.
+        One of :data:`KINDS`; it reads only the parameters :data:`PARAMS`
+        names for it, and :func:`check_params` refuses any other value.
     n : int
         Matrix size, at least 2.
     sigma, tau : float
@@ -66,13 +70,32 @@ class EnsembleSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
         if self.n < 2:
-            raise ValueError("matrix size must be at least 2")
-        if not (-1.0 <= self.tau <= 1.0):
-            raise ValueError("tau must lie in [-1, 1]")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.alpha < 0 or self.kappa < 0 or self.m < 0:
-            raise ValueError("alpha, kappa, m must be nonnegative")
+            raise ValueError("n must be at least 2")
+        check_params(self.kind, {name: getattr(self, name)
+                                 for name in DEFAULTS})
+
+
+DEFAULTS = {f.name: f.default for f in fields(EnsembleSpec)
+            if f.default is not MISSING}
+
+
+def check_params(kind, params):
+    """Refuse, by a ``ValueError`` led by its name, a parameter in ``params``
+    (all of :data:`DEFAULTS`) that is not finite, out of range, or away
+    from its default though ``kind`` does not read it."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if name not in PARAMS[kind] and value != DEFAULTS[name]:
+            raise ValueError(f"{name} is not read by {kind}; leave it at "
+                             f"{DEFAULTS[name]}")
+    if not -1.0 <= params["tau"] <= 1.0:
+        raise ValueError("tau must lie in [-1, 1]")
+    if params["sigma"] <= 0:
+        raise ValueError("sigma must be positive")
+    for name in ("alpha", "kappa", "m"):
+        if params[name] < 0:
+            raise ValueError(f"{name} must be nonnegative")
 
 
 def _ginibre(rng, n):
@@ -162,14 +185,12 @@ def sample(spec, rng_stream):
         g2 = _gue(rng, n)
         eye = np.eye(n)
         x = (2.0 * eye + g1) @ (2.0 * eye + g2)
-    elif spec.kind == "quantum_scattering":
+    else:  # quantum_scattering
         h = _gue(rng, n)
         m_ch = int(round(spec.m * n))
         v = (rng.standard_normal((n, m_ch))
              + 1j * rng.standard_normal((n, m_ch))) / np.sqrt(2.0 * n)
         x = h + 1j * spec.gamma * (v @ v.conj().T)
-    else:  # pragma: no cover - guarded in __post_init__
-        raise ValueError(spec.kind)
     return x, info
 
 

@@ -130,10 +130,14 @@ class RngStream:
     stream: int = 0
     sub: int = 0
 
+    def __post_init__(self):
+        for name in ("seed", "stream", "sub"):
+            if not 0 <= getattr(self, name) < 1 << 64:
+                raise ValueError(f"{name} must lie in [0, 2**64)")
+
     def generator(self):
-        mask = (1 << 64) - 1
-        key = (int(self.seed) & mask) << 64 | (int(self.stream) & mask)
-        counter = np.array([0, 0, 0, int(self.sub) & mask], dtype=np.uint64)
+        key = int(self.seed) << 64 | int(self.stream)
+        counter = np.array([0, 0, 0, int(self.sub)], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
     def substream(self, index):

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from overlap_lab import cli, estimators, overlaps
 from overlap_lab.cli import _complex_arg, main
-from overlap_lab.ensembles import EnsembleSpec, sample_many
+from overlap_lab.ensembles import (DEFAULTS, KINDS, PARAMS, EnsembleSpec,
+                                   sample_many)
 from overlap_lab.numcore import RngStream
 
 
@@ -244,6 +245,34 @@ class TestSample:
             run_sample(tmp_path, samples=samples)
         assert exc.value.code == 2
         assert "--samples: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_64_bits_refused(self, tmp_path, capsys, seed):
+        # --seed -1 wrote the rows of --seed 18446744073709551615 under
+        # another tag
+        with pytest.raises(SystemExit) as exc:
+            run_sample(tmp_path, seed=seed)
+        assert exc.value.code == 2
+        assert "--seed must lie in [0, 2**64)" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_largest_seed_allowed(self, tmp_path):
+        run_sample(tmp_path, n=4, samples=1, seed=2 ** 64 - 1)
+
+    def test_n_below_two_refused(self, tmp_path, capsys):
+        # exited 1 but left an empty run directory
+        assert main(["sample", "--ensemble", "ginibre", "--n", "1",
+                     "--samples", "1", "--seed", "7",
+                     "--out", str(tmp_path / "run")]) == 1
+        assert "n must be at least 2" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("sep", ["nan", "-3", "inf"])
+    def test_min_separation_refused(self, tmp_path, sep):
+        # nan and -3 wrote the pairs.csv rows of 0 under another tag
+        with pytest.raises(SystemExit, match="--min-separation"):
+            run_sample(tmp_path, extra=("--min-separation", sep))
         assert not (tmp_path / "run").exists()
 
     def test_one_sample_allowed(self, tmp_path):
@@ -732,8 +761,34 @@ class TestAnalyticQsolve:
         assert "Bethe-Salpeter pole" in capsys.readouterr().err
 
     def test_qsolve_unknown_model(self, capsys):
-        assert main(["qsolve", "green", "--model", "nope"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["qsolve", "green", "--model", "nope"])
+        assert exc.value.code == 2
         assert "'nope'" in capsys.readouterr().err
+
+
+# every (kind, flag) whose value the kind refuses: an unread parameter
+# away from its default, a non-finite read one, and a tau out of range
+REFUSED_ENSEMBLE_FLAGS = (
+    [(kind, name, str(DEFAULTS[name] + 0.5)) for kind in KINDS
+     for name in DEFAULTS if name not in PARAMS[kind]]
+    + [(kind, name, value) for kind in KINDS for name in PARAMS[kind]
+       for value in ("nan", "inf")]
+    + [("elliptic", "tau", "2")])
+
+
+@pytest.mark.parametrize("kind,name,value", REFUSED_ENSEMBLE_FLAGS)
+def test_ensemble_flag_refused(tmp_path, capsys, kind, name, value):
+    # qsolve printed a value (ginibre --tau 0.9 the one without --tau),
+    # and sample recorded the ignored parameter or failed unnamed in LAPACK
+    for argv in (["sample", "--ensemble", kind, "--n", "4", "--samples",
+                  "1", "--seed", "7", "--out", str(tmp_path / "run")],
+                 ["qsolve", "o1", "--model", kind, "--z", "0.5,0.2"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"--{name}", value])
+        assert exc.value.code == 2
+        assert f"error: --{name} " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 class TestCompare:
@@ -757,6 +812,28 @@ class TestCompare:
         self.write_table(a, [1.0, 2.0, 3.0])
         self.write_table(b, [1.0, 2.0, 10.0])
         assert main(["compare", "--table", str(a), "--ref", str(b)]) == 2
+
+    def test_key_columns_differ(self, tmp_path, capsys):
+        # o1 centres 0.125... against 0.25...: the rows were compared by
+        # position and three of four called ok
+        out = run_sample(tmp_path, n=10, samples=3)
+        for name, rmax in (("a.csv", "1"), ("b.csv", "2")):
+            assert main(["estimate", "o1", "--in", str(out), "--rbins", "4",
+                         "--rmax", rmax, "--out", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit, match="row 0: key columns differ"):
+            main(["compare", "--table", str(tmp_path / "a.csv"),
+                  "--ref", str(tmp_path / "b.csv")])
+        assert "row," not in capsys.readouterr().out
+
+    def test_key_column_names_differ(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        self.write_table(a, [1.0, 2.0])
+        b.write_text(a.read_text().replace("x,", "y,", 1))
+        with pytest.raises(SystemExit, match="different key columns"):
+            main(["compare", "--table", str(a), "--ref", str(b)])
+        assert capsys.readouterr().out == ""
 
     def test_mismatched_rows(self, tmp_path):
         a = tmp_path / "a.csv"

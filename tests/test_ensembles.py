@@ -4,7 +4,8 @@ determinism and structural properties."""
 import numpy as np
 import pytest
 
-from overlap_lab.ensembles import KINDS, EnsembleSpec, sample, sample_many
+from overlap_lab.ensembles import (DEFAULTS, KINDS, PARAMS, EnsembleSpec,
+                                   sample, sample_many)
 from overlap_lab.numcore import RngStream
 
 
@@ -19,14 +20,37 @@ class TestSpecValidation:
             EnsembleSpec("weibull", 10)
 
     def test_bad_params(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n must be at least 2"):
             EnsembleSpec("ginibre", 1)
-        with pytest.raises(ValueError):
-            EnsembleSpec("elliptic", 10, tau=1.5)
-        with pytest.raises(ValueError):
-            EnsembleSpec("elliptic", 10, sigma=0.0)
-        with pytest.raises(ValueError):
-            EnsembleSpec("induced_ginibre", 10, alpha=-0.5)
+        for kind, params, message in [
+                ("elliptic", {"tau": 1.5}, "tau must lie in"),
+                ("elliptic", {"sigma": 0.0}, "sigma must be positive"),
+                ("induced_ginibre", {"alpha": -0.5}, "alpha must be nonneg"),
+                ("truncated_unitary", {"kappa": -1.0}, "kappa must be nonneg"),
+                ("quantum_scattering", {"m": -1.0}, "m must be nonneg")]:
+            with pytest.raises(ValueError, match=f"^{message}"):
+                EnsembleSpec(kind, 10, **params)
+
+    def test_kinds_are_the_params_table(self):
+        assert KINDS == tuple(PARAMS)
+        assert {p for names in PARAMS.values() for p in names} == set(DEFAULTS)
+
+    @pytest.mark.parametrize("kind,name", [
+        (kind, name) for kind in KINDS for name in DEFAULTS
+        if name not in PARAMS[kind]])
+    def test_unread_parameter_refused(self, kind, name):
+        # ginibre with tau=0.9 drew what tau=0 draws, under another spec
+        with pytest.raises(ValueError, match=f"^{name} is not read by {kind}"):
+            EnsembleSpec(kind, 4, **{name: DEFAULTS[name] + 0.5})
+        assert EnsembleSpec(kind, 4, **{name: DEFAULTS[name]})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind,name", [
+        (kind, name) for kind in KINDS for name in PARAMS[kind]])
+    def test_non_finite_parameter_refused(self, kind, name, value):
+        # quantum_scattering with gamma=nan failed in LAPACK, naming nothing
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            EnsembleSpec(kind, 4, **{name: value})
 
     def test_rng_type_checked(self):
         with pytest.raises(TypeError):
@@ -36,8 +60,10 @@ class TestSpecValidation:
 class TestDeterminism:
     @pytest.mark.parametrize("kind", KINDS)
     def test_bit_identical_redraw(self, kind):
-        spec = EnsembleSpec(kind, 12, tau=0.3, alpha=0.5, kappa=1.0,
-                            m=1.0, gamma=0.7)
+        params = dict(sigma=1.0, tau=0.3, alpha=0.5, kappa=1.0, m=1.0,
+                      gamma=0.7)
+        spec = EnsembleSpec(kind, 12, **{name: params[name]
+                                         for name in PARAMS[kind]})
         x1, _ = sample(spec, RngStream(123, 4))
         x2, _ = sample(spec, RngStream(123, 4))
         assert np.array_equal(x1, x2)

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overlap_lab import analytic, estimators, overlaps
-from overlap_lab.ensembles import KINDS, EnsembleSpec, sample_many
+from overlap_lab.ensembles import KINDS, PARAMS, EnsembleSpec, sample_many
 from overlap_lab.estimators import EstimatorConfig
 
 
@@ -84,8 +84,10 @@ class TestSumRule:
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_sum_rule_any_valid_spec(self, kind, n, sigma, tau, alpha, kappa,
                                      m, gamma, seed):
-        spec = EnsembleSpec(kind, n, sigma=sigma, tau=tau, alpha=alpha,
-                            kappa=kappa, m=m, gamma=gamma)
+        params = dict(sigma=sigma, tau=tau, alpha=alpha, kappa=kappa, m=m,
+                      gamma=gamma)
+        spec = EnsembleSpec(kind, n, **{name: params[name]
+                                        for name in PARAMS[kind]})
         (_, x, _), = sample_many(spec, seed, 1)
         assert estimators.sum_rule_residual(x) < 1e-9
 

@@ -118,6 +118,20 @@ class TestRngStream:
         b = sub.generator().standard_normal(8)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("field", ["seed", "stream", "sub"])
+    @pytest.mark.parametrize("value", [-1, 2 ** 64, 2 ** 64 + 5])
+    def test_outside_64_bits_refused(self, field, value):
+        # seed -1 drew what seed 2**64 - 1 draws, and 2**64 + 5 what 5 draws
+        with pytest.raises(ValueError, match=f"^{field} must lie in"):
+            RngStream(**{"seed": 3, "stream": 4, "sub": 0, field: value})
+
+    @pytest.mark.parametrize("field", ["seed", "stream", "sub"])
+    def test_64_bit_extremes_accepted(self, field):
+        for value in (0, 2 ** 64 - 1):
+            stream = RngStream(**{"seed": 3, "stream": 4, "sub": 0,
+                                  field: value})
+            assert 0 <= stream.generator().random() < 1
+
     def test_substream_zero_is_the_stream(self):
         a = RngStream(3, 4).generator().standard_normal(8)
         b = RngStream(3, 4).substream(0).generator().standard_normal(8)

@@ -12,6 +12,7 @@ into one ``BENCH_<pr>.json``.
 tier-1 command run with ``--junitxml``.  The records are the full
 ``bench/run.py`` records of each tree; their ``environment`` is copied.
 Quartiles are ``statistics.quantiles(..., n=4, method="inclusive")``.
+A workload with fewer than ``MIN_RUNS`` runs on either side is refused.
 """
 
 import argparse
@@ -22,6 +23,7 @@ import statistics
 import xml.etree.ElementTree as ET
 
 SIDES = ("parent", "change")
+MIN_RUNS = 3
 
 
 def summary(values):
@@ -41,7 +43,10 @@ def fold_runs(directory):
     for workload, by_side in runs.items():
         entry = {}
         for side in SIDES:
-            results = [r for _, r in sorted(by_side[side])]
+            results = [r for _, r in sorted(by_side.get(side, []))]
+            if len(results) < MIN_RUNS:
+                raise SystemExit(f"{workload}: {len(results)} {side} runs, "
+                                 f"at least {MIN_RUNS} needed")
             entry.setdefault("runs", {})[side] = len(results)
             entry.setdefault("correct", {})[side] = all(
                 r["correct"] for r in results)
@@ -73,7 +78,7 @@ def fold_junit(path):
             "criteria_s": dict(sorted(criteria.items()))}
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--runs", required=True)
     ap.add_argument("--pr", type=int, required=True)
@@ -82,7 +87,7 @@ def main():
     for side in SIDES:
         ap.add_argument(f"--{side}-junit", required=True)
         ap.add_argument(f"--{side}-record", required=True)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     environment = {}
     for side in SIDES:
         with open(getattr(args, f"{side}_record")) as fh:
