@@ -5,15 +5,19 @@ Conventions: O1 is the diagonal-overlap density scaled by 1/N; O2 is the
 off-diagonal pair density.  Both follow the single-ring structure for
 biunitarily invariant ensembles, where everything is determined by the
 radial cumulative distribution function F(r).
+
+Only two functions call scipy, and each imports it when called:
+:func:`o2_exact_ginibre` (``scipy.linalg.lapack.zgbtrf`` and
+``scipy.special.gammaln``) and :func:`phi_plane_integral`
+(``scipy.integrate.quad``).  Everything else, and importing the module,
+needs numpy alone, so the closed forms and the large-N solver start
+without loading scipy.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.linalg import lapack
-from scipy.special import gammaln
 
 from .numcore import STENCIL_H, wirtinger_mixed_derivative
 
@@ -220,6 +224,8 @@ def phi_microscopic(omega_abs):
 
 def phi_plane_integral():
     """Integral of Phi(|u|) over the complex plane (expected -1/pi)."""
+    from scipy import integrate
+
     def integrand(r):
         return 2.0 * math.pi * r * phi_microscopic(r)
 
@@ -280,6 +286,9 @@ def o2_exact_ginibre(n, z1, z2, normalized=True):
     further N-scaling, and reach the microscopic kernel as
     N^{-2} o2(0, w/sqrt(N)) -> Phi(|w|) with constant exactly 1.
     """
+    from scipy.linalg import lapack
+    from scipy.special import gammaln
+
     n = int(n)
     if not 2 <= n <= EXACT_MAX_N:
         raise ValueError(f"needs 2 <= N <= {EXACT_MAX_N}, got N={n}")

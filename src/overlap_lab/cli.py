@@ -281,13 +281,14 @@ def _print_complex(label, value):
 
 def cmd_analytic(args):
     if args.what == "o1":
-        fspec = analytic.radial_cdf(args.model, alpha=args.alpha,
+        fspec = analytic.radial_cdf(args.ensemble, alpha=args.alpha,
                                     kappa=args.kappa)
         for r in args.r:
             print(f"{r},{analytic.o1_biunitary(fspec, r)!r}")
     elif args.what == "o2":
         val = analytic.o2_biunitary_closed_form(
-            args.model, args.z1, args.z2, alpha=args.alpha, kappa=args.kappa)
+            args.ensemble, args.z1, args.z2, alpha=args.alpha,
+            kappa=args.kappa)
         _print_complex("o2", val)
     elif args.what == "h":
         _print_complex("h", analytic.h_universal(args.z1, args.z2,
@@ -426,22 +427,26 @@ def build_parser():
     sp.add_argument("--word2", default="X+")
     pe.set_defaults(func=cmd_estimate)
 
-    # no abbreviations, so that --m is refused rather than read as --model
-    pa = sub.add_parser("analytic", help="closed-form large-N values",
-                        allow_abbrev=False)
-    pa.add_argument("what", choices=["o1", "o2", "h", "phi",
-                                     "exact-o2", "elliptic-o2"])
-    pa.add_argument("--model", default="ginibre")
-    pa.add_argument("--n", type=int, default=2)
-    pa.add_argument("--z1", type=_complex_arg, default=0.0 + 0.0j)
-    pa.add_argument("--z2", type=_complex_arg, default=0.0 + 0.0j)
-    pa.add_argument("--r", type=float, action="append", default=[])
-    pa.add_argument("--omega", type=float, action="append", default=[])
-    pa.add_argument("--rout", type=float, default=1.0)
-    pa.add_argument("--raw", action="store_true",
-                    help="skip the N+1 pair-density normalization")
-    # no closed form reads the scattering parameters m and gamma
-    add_ensemble_params(pa, ("sigma", "tau", "alpha", "kappa"))
+    pa = sub.add_parser("analytic", help="closed-form large-N values")
+    # each statistic takes only the flags it reads, unabbreviated (so that
+    # `o1 --m` is refused rather than read as --model): any other exits 2
+    stats = pa.add_subparsers(dest="what", required=True)
+    sa = {what: stats.add_parser(what, allow_abbrev=False)
+          for what in ("o1", "o2", "h", "phi", "exact-o2", "elliptic-o2")}
+    for what in ("o1", "o2"):
+        sa[what].add_argument("--model", dest="ensemble", default="ginibre",
+                              choices=KINDS)
+        add_ensemble_params(sa[what], ("alpha", "kappa"))
+    for what in ("o2", "h", "exact-o2", "elliptic-o2"):
+        sa[what].add_argument("--z1", type=_complex_arg, default=0.0 + 0.0j)
+        sa[what].add_argument("--z2", type=_complex_arg, default=0.0 + 0.0j)
+    sa["o1"].add_argument("--r", type=float, action="append", default=[])
+    sa["h"].add_argument("--rout", type=float, default=1.0)
+    sa["phi"].add_argument("--omega", type=float, action="append", default=[])
+    sa["exact-o2"].add_argument("--n", type=int, default=2)
+    sa["exact-o2"].add_argument("--raw", action="store_true",
+                                help="skip the N+1 pair-density normalization")
+    add_ensemble_params(sa["elliptic-o2"], ("sigma", "tau"))
     pa.set_defaults(func=cmd_analytic)
 
     pq = sub.add_parser("qsolve", help="quaternionic large-N solver")
@@ -467,14 +472,15 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command in ("sample", "qsolve"):
+    if "ensemble" in vars(args):  # sample, qsolve, analytic o1 and o2
         # a refusal is a usage error, met before any file is written; its
         # message starts with the parameter's name, so "--" names the flag
         try:
             if args.command == "sample":
                 RngStream(args.seed)
             check_params(args.ensemble,
-                         {name: getattr(args, name) for name in DEFAULTS})
+                         {name: getattr(args, name, default)
+                          for name, default in DEFAULTS.items()})
         except ValueError as exc:
             parser.error(f"--{exc}")
     try:

@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .numcore import RngStream
+from .numcore import RngStream, as_index
 from .overlaps import COND_LIMIT
 
 __all__ = ["EnsembleSpec", "sample", "KINDS", "PARAMS", "check_params"]
@@ -69,6 +69,7 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
+        object.__setattr__(self, "n", as_index("n", self.n))
         if self.n < 2:
             raise ValueError("n must be at least 2")
         check_params(self.kind, {name: getattr(self, name)

@@ -5,6 +5,7 @@ accumulator and the deterministic RNG stream contract used by the
 samplers.
 """
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -115,6 +116,16 @@ class PairHistogram:
         return np.outer(d1, d2)
 
 
+def as_index(name, value):
+    """``value`` as a Python int through ``operator.index``, so that numpy
+    integers pass; a float or any other type raises ``TypeError`` led by
+    ``name`` instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Deterministic, parallel-safe RNG substream.
@@ -132,14 +143,16 @@ class RngStream:
 
     def __post_init__(self):
         for name in ("seed", "stream", "sub"):
-            if not 0 <= getattr(self, name) < 1 << 64:
+            value = as_index(name, getattr(self, name))
+            if not 0 <= value < 1 << 64:
                 raise ValueError(f"{name} must lie in [0, 2**64)")
+            object.__setattr__(self, name, value)
 
     def generator(self):
-        key = int(self.seed) << 64 | int(self.stream)
-        counter = np.array([0, 0, 0, int(self.sub)], dtype=np.uint64)
+        key = self.seed << 64 | self.stream
+        counter = np.array([0, 0, 0, self.sub], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
     def substream(self, index):
         """Derived stream, used e.g. for resampling rejected draws."""
-        return RngStream(self.seed, self.stream, int(index))
+        return RngStream(self.seed, self.stream, index)

@@ -93,6 +93,82 @@ class TestArgs:
         assert int(workers) == max(1, int(cores) // threads)
 
 
+# runs `cli.main(argv)` in a fresh interpreter; its last stderr line lists
+# the scipy modules loaded by then
+FOOTPRINT_PROBE = textwrap.dedent("""
+    import json, sys
+    sys.path.insert(0, {src!r})
+    from overlap_lab import cli
+    argv = {argv!r}
+    rc = cli.main(argv) if argv else 0
+    sys.stdout.flush()
+    print(json.dumps([m for m in sys.modules if m.startswith("scipy")]),
+          file=sys.stderr)
+    sys.exit(rc)
+""")
+NO_SCIPY = [
+    ["qsolve", "o1", "--model", "ginibre", "--z", "0.5,0.2"],
+    ["qsolve", "o2", "--model", "ginibre", "--z1", "0.3,0.1", "--z2=-0.2,0.4"],
+    ["qsolve", "wheel", "--model", "ginibre", "--word-cov", "2,2"],
+    ["analytic", "o2", "--model", "ginibre", "--z1", "0.3,0", "--z2=-0.2,0.1"],
+    ["analytic", "phi", "--omega", "0.5", "--omega", "2"],
+    ["compare", "--table", "{tables}/a.csv", "--ref", "{tables}/b.csv"],
+    ["estimate", "o1", "--in", "{run}", "--rbins", "4", "--rmax", "1.2"],
+    ["estimate", "rho", "--in", "{run}", "--rbins", "4", "--rmax", "1.2"],
+    ["estimate", "hprod", "--in", "{run}"],
+    ["estimate", "tracecov", "--in", "{run}"],
+]
+SCIPY_LINALG = [
+    ["sample", "--ensemble", "ginibre", "--n", "8", "--samples", "3",
+     "--seed", "5", "--out", "{tables}/fresh"],
+    ["estimate", "o2", "--in", "{run}", "--pair", "0.5,0,-0.5,0"],
+    ["analytic", "exact-o2", "--n", "5", "--z1", "0.3,0", "--z2=-0.2,0.1"],
+]
+
+
+class TestScipyFootprint:
+    """Only the decomposition and the exact finite-N determinant load
+    scipy, and then only scipy.linalg: every other command starts
+    without it."""
+
+    @pytest.fixture(scope="class")
+    def dirs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("footprint")
+        run = run_sample(root, n=8, samples=3)
+        for name in ("a.csv", "b.csv"):
+            assert main(["estimate", "o1", "--in", str(run), "--rbins", "3",
+                         "--out", str(root / name)]) == 0
+        return {"run": str(run), "tables": str(root)}
+
+    def probe(self, argv):
+        """(exit code, stdout, loaded scipy modules) of a fresh process."""
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", FOOTPRINT_PROBE.format(src=src, argv=argv)],
+            capture_output=True, text=True, timeout=120)
+        return (out.returncode, out.stdout,
+                set(json.loads(out.stderr.splitlines()[-1])))
+
+    def test_import_loads_no_scipy(self):
+        assert self.probe([]) == (0, "", set())
+
+    @pytest.mark.parametrize("argv,linalg", [
+        *((argv, False) for argv in NO_SCIPY),
+        *((argv, True) for argv in SCIPY_LINALG)],
+        ids=lambda v: ("-".join(a for a in v[:2] if a[0] != "-")
+                       if isinstance(v, list) else "linalg" if v else "none"))
+    def test_command_footprint(self, capsys, dirs, argv, linalg):
+        argv = [arg.format(**dirs) for arg in argv]
+        rc, out, modules = self.probe(argv)
+        if linalg:
+            assert "scipy.linalg" in modules
+            assert not modules & {"scipy.integrate", "scipy.optimize"}
+        else:
+            assert modules == set()
+        capsys.readouterr()
+        assert (rc, out) == (main(argv), capsys.readouterr().out)
+
+
 class TestSample:
     def test_outputs_and_manifest(self, tmp_path):
         out = run_sample(tmp_path, n=10, samples=3)
@@ -685,6 +761,56 @@ class TestAnalyticQsolve:
             main(["analytic", "o1", "--r", "0.5", flag, "2"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["o1", "--model", "ginibre", "--r", "0.5", "--tau", "0.9"],
+        ["phi", "--omega", "0.5", "--alpha", "3"],
+        ["exact-o2", "--n", "5", "--kappa", "7", "--omega", "2"],
+        ["o1", "--r", "0.5", "--z1", "0.1,0"],
+        ["o2", "--rout", "2"],
+        ["h", "--model", "ginibre"],
+        ["elliptic-o2", "--n", "5"],
+        ["phi", "--raw"],
+    ])
+    def test_analytic_flag_of_another_statistic_refused(self, capsys, argv):
+        # each exited 0, printing what it prints without the flag
+        with pytest.raises(SystemExit) as exc:
+            main(["analytic", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["o1", "--r", "0.5", "--alpha", "0.5"],
+         "--alpha is not read by ginibre"),
+        (["o2", "--model", "induced_ginibre", "--kappa", "2"],
+         "--kappa is not read by induced_ginibre"),
+        (["o2", "--model", "truncated_unitary", "--kappa", "nan"],
+         "--kappa must be finite"),
+        (["o1", "--model", "induced_ginibre", "--alpha=-1", "--r", "0.5"],
+         "--alpha must be nonnegative"),
+    ], ids=["unread-alpha", "unread-kappa", "nan-kappa", "negative-alpha"])
+    def test_analytic_params_checked_against_model(self, capsys, argv,
+                                                   message):
+        # ginibre ignored --alpha 0.5 and printed its own O1
+        with pytest.raises(SystemExit) as exc:
+            main(["analytic", *argv])
+        assert exc.value.code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["o1", "--model", "induced_ginibre", "--alpha", "0.5", "--kappa", "1",
+         "--r", "0.9", "--r", "1.1"],
+        ["o2", "--model", "truncated_unitary", "--alpha", "0", "--kappa", "2",
+         "--z1", "0.3,0.1", "--z2=-0.2,0.1"],
+        ["h", "--z1", "2,0", "--z2", "0,2", "--rout", "1.5"],
+        ["phi", "--omega", "0.5", "--omega", "0"],
+        ["exact-o2", "--n", "5", "--z1", "0.3,0", "--z2=-0.2,0.1", "--raw"],
+        ["elliptic-o2", "--sigma", "1.2", "--tau", "0.5", "--z1", "0.3,0",
+         "--z2=-0.2,0.1"],
+    ])
+    def test_analytic_statistic_takes_its_flags(self, capsys, argv):
+        assert main(["analytic", *argv]) == 0
+        assert capsys.readouterr().out
 
     def test_analytic_outputs(self, capsys):
         assert main(["analytic", "o2", "--model", "ginibre",

@@ -31,6 +31,19 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match=f"^{message}"):
                 EnsembleSpec(kind, 10, **params)
 
+    @pytest.mark.parametrize("n", [4.5, 4.0, np.float64(4.0), "4"])
+    def test_non_integer_n_refused(self, n):
+        # EnsembleSpec("ginibre", 4.5) constructed and failed only in sample
+        with pytest.raises(TypeError, match="^n must be an integer"):
+            EnsembleSpec("ginibre", n)
+
+    def test_numpy_integer_n_accepted(self):
+        spec = EnsembleSpec("ginibre", np.int64(4))
+        assert type(spec.n) is int and spec == EnsembleSpec("ginibre", 4)
+        x, _ = sample(spec, RngStream(1))
+        assert np.array_equal(x, sample(EnsembleSpec("ginibre", 4),
+                                        RngStream(1))[0])
+
     def test_kinds_are_the_params_table(self):
         assert KINDS == tuple(PARAMS)
         assert {p for names in PARAMS.values() for p in names} == set(DEFAULTS)

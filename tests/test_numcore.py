@@ -126,6 +126,27 @@ class TestRngStream:
             RngStream(**{"seed": 3, "stream": 4, "sub": 0, field: value})
 
     @pytest.mark.parametrize("field", ["seed", "stream", "sub"])
+    @pytest.mark.parametrize("value", [1.5, 1.0, np.float64(2.0), "1", None])
+    def test_non_integer_refused(self, field, value):
+        # RngStream(1.5) drew exactly what RngStream(1) draws
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            RngStream(**{"seed": 3, "stream": 4, "sub": 0, field: value})
+
+    def test_non_integer_substream_refused(self):
+        with pytest.raises(TypeError, match="^sub must be an integer"):
+            RngStream(3, 4).substream(1.5)
+
+    @pytest.mark.parametrize("kind", [np.int32, np.int64, np.uint64])
+    def test_numpy_integers_accepted(self, kind):
+        stream = RngStream(kind(3), kind(4), kind(1))
+        assert stream == RngStream(3, 4, 1)
+        assert all(type(v) is int
+                   for v in (stream.seed, stream.stream, stream.sub))
+        assert np.array_equal(
+            stream.generator().standard_normal(8),
+            RngStream(3, 4, 1).generator().standard_normal(8))
+
+    @pytest.mark.parametrize("field", ["seed", "stream", "sub"])
     def test_64_bit_extremes_accepted(self, field):
         for value in (0, 2 ** 64 - 1):
             stream = RngStream(**{"seed": 3, "stream": 4, "sub": 0,
