@@ -7,13 +7,8 @@ functions, Bethe-Salpeter resummation, single-ring master formulas and
 the exact finite-N Ginibre determinant), so the two routes can be
 cross-validated.
 
-``OVERLAP_LAB_THREADS``, else ``OPENBLAS_NUM_THREADS``, else
-``OMP_NUM_THREADS``, else 1, is the number of BLAS threads per
-decomposition.  Importing the package sets the pool of numpy's bundled
-OpenBLAS to it for the whole process, whether or not numpy was imported
-first (builds without that library keep their own), and the Monte
-Carlo loop runs the usable cores divided by it as workers (see
-:mod:`overlap_lab.overlaps`).
+Importing the package applies the BLAS thread rule that
+:mod:`overlap_lab.overlaps` documents.
 """
 
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ from .numcore import STENCIL_H, wirtinger_mixed_derivative
 
 __all__ = [
     "RadialCdfSpec",
+    "SINGLE_RINGS",
     "radial_cdf",
     "o1_biunitary",
     "o2_biunitary",
@@ -36,6 +37,9 @@ __all__ = [
 ]
 
 EXACT_MAX_N = 300  # largest N that o2_exact_ginibre accepts
+# the kinds radial_cdf defines, and so the closed forms' models
+SINGLE_RINGS = ("ginibre", "induced_ginibre", "truncated_unitary",
+                "spherical", "product_ginibre")
 
 
 @dataclass(frozen=True)

@@ -268,10 +268,12 @@ def cmd_estimate(args):
 def _rt_from_args(args):
     kind = args.ensemble
     params = {name: getattr(args, name) for name in PARAMS[kind]}
+    if kind in analytic.SINGLE_RINGS:
+        return qsolver.biunitary_rt(kind, **params)
     make = {"elliptic": qsolver.elliptic_rt,
             "pseudo_hermitian_product": qsolver.pseudo_hermitian_rt,
-            "quantum_scattering": qsolver.quantum_scattering_rt}.get(kind)
-    return make(**params) if make else qsolver.biunitary_rt(kind, **params)
+            "quantum_scattering": qsolver.quantum_scattering_rt}
+    return make[kind](**params)
 
 
 def _print_complex(label, value):
@@ -341,9 +343,9 @@ def cmd_qsolve(args):
             p, q = (int(v) for v in args.word_cov.split(","))
             _print_complex("word_cov",
                            qsolver.wheel_word_covariance(rt, p, q))
-        else:
-            _print_complex("wheel",
-                           qsolver.wheel_from_points(rt, args.z1, args.z2))
+        else:  # the points default to 2, as for k, o2 and h
+            z1, z2 = (2.0 if z is None else z for z in (args.z1, args.z2))
+            _print_complex("wheel", qsolver.wheel_from_points(rt, z1, z2))
     return 0
 
 
@@ -435,7 +437,7 @@ def build_parser():
           for what in ("o1", "o2", "h", "phi", "exact-o2", "elliptic-o2")}
     for what in ("o1", "o2"):
         sa[what].add_argument("--model", dest="ensemble", default="ginibre",
-                              choices=KINDS)
+                              choices=analytic.SINGLE_RINGS)
         add_ensemble_params(sa[what], ("alpha", "kappa"))
     for what in ("o2", "h", "exact-o2", "elliptic-o2"):
         sa[what].add_argument("--z1", type=_complex_arg, default=0.0 + 0.0j)
@@ -450,14 +452,23 @@ def build_parser():
     pa.set_defaults(func=cmd_analytic)
 
     pq = sub.add_parser("qsolve", help="quaternionic large-N solver")
-    pq.add_argument("what", choices=["green", "o1", "k", "o2", "h", "wheel"])
-    pq.add_argument("--model", dest="ensemble", required=True, choices=KINDS)
-    pq.add_argument("--z", type=_complex_arg, default=0.0 + 0.0j)
-    pq.add_argument("--z1", type=_complex_arg, default=2.0 + 0.0j)
-    pq.add_argument("--z2", type=_complex_arg, default=2.0 + 0.0j)
-    pq.add_argument("--word-cov", default=None,
-                    help="p,q word lengths for wheel coefficients")
-    add_ensemble_params(pq, DEFAULTS)
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", dest="ensemble", required=True,
+                       choices=KINDS)
+    add_ensemble_params(model, DEFAULTS)
+    # as for analytic: each statistic takes only the flags it reads
+    stats = pq.add_subparsers(dest="what", required=True)
+    sq = {what: stats.add_parser(what, parents=[model], allow_abbrev=False)
+          for what in ("green", "o1", "k", "o2", "h", "wheel")}
+    for what in ("green", "o1"):
+        sq[what].add_argument("--z", type=_complex_arg, default=0.0 + 0.0j)
+    for what in ("k", "o2", "h", "wheel"):
+        # wheel's points default to None, so that --word-cov can refuse them
+        default = None if what == "wheel" else 2.0 + 0.0j
+        sq[what].add_argument("--z1", type=_complex_arg, default=default)
+        sq[what].add_argument("--z2", type=_complex_arg, default=default)
+    sq["wheel"].add_argument("--word-cov", default=None,
+                             help="p,q word lengths for wheel coefficients")
     pq.set_defaults(func=cmd_qsolve)
 
     pc = sub.add_parser("compare", help="tolerance report between tables")
@@ -472,6 +483,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if vars(args).get("word_cov") and {args.z1, args.z2} != {None}:
+        parser.error("argument --word-cov: not allowed with --z1 or --z2")
     if "ensemble" in vars(args):  # sample, qsolve, analytic o1 and o2
         # a refusal is a usage error, met before any file is written; its
         # message starts with the parameter's name, so "--" names the flag
@@ -485,8 +498,6 @@ def main(argv=None):
             parser.error(f"--{exc}")
     try:
         return args.func(args)
-    except SystemExit:
-        raise
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -6,8 +6,7 @@ All estimators consume an iterable of sample matrices (bare arrays or
 :class:`overlap_lab.overlaps.MonteCarloLoop`.  Each estimator gives the
 loop a per-sample function (a decomposition, two resolvents, two word
 traces), which runs on up to ``overlaps.WORKERS`` pulled samples at once
-on a thread pool: the usable cores divided by the BLAS thread count,
-which is 1 unless ``OVERLAP_LAB_THREADS`` or a BLAS variable sets it.
+on a thread pool (:mod:`overlap_lab.overlaps` gives the thread rule).
 The results come back in pull order, and near-defective draws are
 dropped and counted.  On the calling thread each estimator maps a result
 to a ``(value, count)`` contribution, and one batching routine averages

@@ -7,7 +7,7 @@ eigenvectors V and the left ones are the rows of V^-1, which LAPACK
 inverts as a triangular matrix.  Biorthogonality ``<L_i|R_j> = delta_ij``
 and completeness ``sum_k R_k L_k = 1`` hold by construction up to
 inversion error.  As a consequence the row-sum identity ``sum_l O_kl =
-1`` is exact per matrix and serves as the main numerical self-check.
+1`` is exact per matrix and is the decomposition's numerical self-check.
 
 :class:`MonteCarloLoop` is the Monte Carlo loop of the package: every
 estimator and ``overlap-lab sample`` pull their samples through it, so
@@ -127,15 +127,13 @@ class EigenSystem:
     condition number of the right-eigenvector matrix from above by
     ``||R||_F ||L||_F``; where that bound exceeds ``COND_LIMIT`` it is
     the exact 2-norm condition number.  Both are the same in either
-    basis.  ``residual`` is max|TV - V Lambda| relative to
-    ``max(||X||_F, 1)``.
+    basis.
     """
 
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
     cond: float
-    residual: float
 
     @property
     def n(self):
@@ -270,8 +268,6 @@ def eig_biorthogonal(x):
     t = _schur(x)
     lam = np.diagonal(t).copy()
     v, v_inv = _triangular_eigenvectors(t)
-    norm = np.linalg.norm(x)
-    residual = float(np.max(np.abs(t @ v - v * lam)) / max(norm, 1.0))
     order = np.lexsort((lam.imag, lam.real))
     lam, right, left = lam[order], v[:, order], v_inv[order, :]
     # a near-singular v overflows the bound to inf; the SVD decides then
@@ -282,7 +278,7 @@ def eig_biorthogonal(x):
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise NearDefectiveError(
                 f"eigenvector condition estimate {cond:.3g} above limit")
-    return EigenSystem(lam, right, left, cond, residual)
+    return EigenSystem(lam, right, left, cond)
 
 
 def overlap_matrix(es):

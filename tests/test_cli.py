@@ -107,8 +107,11 @@ FOOTPRINT_PROBE = textwrap.dedent("""
     sys.exit(rc)
 """)
 NO_SCIPY = [
+    ["qsolve", "green", "--model", "ginibre", "--z", "0.5,0.2"],
     ["qsolve", "o1", "--model", "ginibre", "--z", "0.5,0.2"],
+    ["qsolve", "k", "--model", "ginibre", "--z1", "0.5,0.2", "--z2=-0.3,0.4"],
     ["qsolve", "o2", "--model", "ginibre", "--z1", "0.3,0.1", "--z2=-0.2,0.4"],
+    ["qsolve", "h", "--model", "ginibre", "--z1", "2,0", "--z2", "2,0"],
     ["qsolve", "wheel", "--model", "ginibre", "--word-cov", "2,2"],
     ["analytic", "o2", "--model", "ginibre", "--z1", "0.3,0", "--z2=-0.2,0.1"],
     ["analytic", "phi", "--omega", "0.5", "--omega", "2"],
@@ -739,6 +742,23 @@ QSOLVE_RUNS = [
     ["wheel", *QS_ARGS, "--z1", "5,0", "--z2", "4,3"],
 ]
 
+# the flags each `qsolve` statistic reads, and a valid value of each
+QSOLVE_FLAGS = {"green": ("--z",), "o1": ("--z",), "k": ("--z1", "--z2"),
+                "o2": ("--z1", "--z2"), "h": ("--z1", "--z2"),
+                "wheel": ("--z1", "--z2", "--word-cov")}
+QSOLVE_FLAG_VALUES = {"--z": "0.5,0.2", "--z1": "3,0", "--z2": "0,3",
+                      "--word-cov": "2,2"}
+
+
+def accepts(call):
+    """Whether ``call()`` returns rather than raising a usage or value
+    error."""
+    try:
+        call()
+    except (SystemExit, ValueError):
+        return False
+    return True
+
 
 class TestAnalyticQsolve:
     def test_qsolve_stdout_pinned(self, capsys):
@@ -752,6 +772,60 @@ class TestAnalyticQsolve:
             digest.update(capsys.readouterr().out.encode())
         assert digest.hexdigest() == ("6be4382163d6722500ac5e08705a99a6"
                                       "6fd7b8a61782942eec81e4c74b20e776")
+
+    @pytest.mark.parametrize("what", sorted(QSOLVE_FLAGS))
+    def test_each_qsolve_statistic_parses_only_its_flags(self, capsys, what):
+        parser = cli.build_parser()
+        for flag, value in QSOLVE_FLAG_VALUES.items():
+            argv = ["qsolve", what, "--model", "ginibre", flag, value]
+            if flag in QSOLVE_FLAGS[what]:
+                assert parser.parse_args(argv).what == what
+                continue
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2, flag
+            assert f"unrecognized arguments: {flag}" in \
+                capsys.readouterr().err
+
+    def test_qsolve_flags_of_other_statistics_refused(self, capsys):
+        # o1 ignored --z1 and --word-cov, printed its value and exited 0
+        with pytest.raises(SystemExit) as exc:
+            main(["qsolve", "o1", "--model", "ginibre", "--z", "0.5,0.2",
+                  "--z1", "3,0", "--word-cov", "1,1"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments: --z1 3,0 --word-cov 1,1" in err
+
+    @pytest.mark.parametrize("points", [["--z1", "9,9"], ["--z2=-1,0"],
+                                        ["--z1", "3,0", "--z2", "0,3"]])
+    def test_qsolve_wheel_word_cov_refuses_points(self, capsys, points):
+        # the word covariance ignored the points and exited 0
+        with pytest.raises(SystemExit) as exc:
+            main(["qsolve", "wheel", "--model", "ginibre", "--word-cov",
+                  "2,2", *points])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--word-cov: not allowed with --z1 or --z2" in err
+
+    @pytest.mark.parametrize("what", ["o1", "o2"])
+    def test_analytic_models_are_the_radial_cdf_kinds(self, capsys, what):
+        # elliptic, pseudo_hermitian_product and quantum_scattering passed
+        # parsing and then exited 1 in radial_cdf
+        from overlap_lab import analytic
+        parser = cli.build_parser()
+        models = {kind for kind in KINDS if accepts(
+            lambda: parser.parse_args(["analytic", what, "--model", kind]))}
+        rings = {kind for kind in KINDS
+                 if accepts(lambda: analytic.radial_cdf(kind))}
+        assert models == rings == set(analytic.SINGLE_RINGS)
+        with pytest.raises(SystemExit) as exc:
+            main(["analytic", what, "--model", "elliptic"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --model: invalid choice: 'elliptic'" in err
 
     @pytest.mark.parametrize("flag", ["--m", "--gamma"])
     def test_analytic_refuses_scattering_params(self, capsys, flag):
