@@ -107,8 +107,8 @@ def o1_biunitary(fspec, r):
     the function diverges and ``inf`` is returned.
     """
     r = float(r)
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    if not 0 <= r:
+        raise ValueError(f"radius must be nonnegative, got {r}")
     if r == 0.0:
         if fspec.r_in > 0:
             return 0.0
@@ -214,8 +214,8 @@ def phi_microscopic(omega_abs):
     used to dodge the catastrophic cancellation in 1 - (1+t)e^{-t}.
     """
     w = float(omega_abs)
-    if w < 0:
-        raise ValueError("needs |omega| >= 0")
+    if not 0 <= w < math.inf:
+        raise ValueError(f"|omega| must be finite and nonnegative, got {w}")
     t = w * w
     if w < 1e-2:
         # (1-(1+t)e^{-t})/t^2 = sum_{k>=2} (-1)^k (k-1) t^{k-2} / k!

@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -31,26 +32,29 @@ from .overlaps import (MonteCarloLoop, diagonal_overlaps, eig_with_overlaps,
 HASH_CHUNK = 1 << 20  # bytes read at a time when hashing an output file
 
 
-def _complex_arg(text):
-    """Parse 're,im' (or a bare real) into a complex number."""
-    parts = text.split(",")
-    if len(parts) == 1:
-        return complex(float(parts[0]), 0.0)
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected re,im - got {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
+def _flag(need, ok=lambda v: True, convert=float, counts=(1,),
+          build=lambda v: v[0]):
+    """An argparse type: ``counts`` comma-separated values, each made by
+    ``convert`` and passing ``ok``, given to ``build``.  A refusal says
+    ``need``; argparse reports it as a usage error naming the flag."""
+    def parse(text):
+        try:
+            values = [convert(v) for v in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid value: {text!r}") from None
+        if len(values) not in counts or not all(map(ok, values)):
+            raise argparse.ArgumentTypeError(f"{need}, got {text!r}")
+        return build(values)
+    return parse
 
 
-def _positive_int(text):
-    """Parse an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+_complex_arg = _flag("must be re,im or a real, each finite", math.isfinite,
+                     counts=(1, 2), build=lambda v: complex(*v))
+_at_least_one = _flag("must be at least 1", lambda v: v >= 1, int)
+_nonnegative = _flag("must be finite and at least 0",
+                     lambda v: 0 <= v < math.inf)
+_positive = _flag("must be positive and finite", lambda v: 0 < v < math.inf)
 
 
 def _file_sha256(path):
@@ -116,22 +120,17 @@ PAIR_SUBSAMPLE_STREAM = 2 ** 64 - 1
 
 
 def cmd_sample(args):
-    if args.pair_subsample is not None and not 0 < args.pair_subsample <= 1:
-        raise SystemExit("--pair-subsample must lie in (0, 1]")
-    if not 0 <= args.min_separation < np.inf:
-        raise SystemExit("--min-separation must be finite and at least 0")
     params = {"ensemble": args.ensemble, "n": args.n, "samples": args.samples,
               **{name: getattr(args, name) for name in DEFAULTS},
               "min_separation": args.min_separation,
               "pair_subsample": args.pair_subsample}
-    spec = _ensemble_spec_from_params(params)
     os.makedirs(args.out, exist_ok=True)
     manifest = RunManifest("sample", params, args.seed,
                            created=time.strftime("%Y-%m-%dT%H:%M:%S"))
     tag = f"manifest {manifest.params_hash()}"
     eblocks, pblocks = [], []
     sub_rng = RngStream(args.seed, PAIR_SUBSAMPLE_STREAM).generator()
-    systems = MonteCarloLoop(sample_many(spec, args.seed, args.samples),
+    systems = MonteCarloLoop(sample_many(args.spec, args.seed, args.samples),
                              eig_with_overlaps)
     for k, (es, o) in systems:
         eblocks.append(eigen_rows(k, es, diagonal_overlaps(es)))
@@ -217,10 +216,6 @@ def cmd_estimate(args):
         return sample_many(spec, manifest.seed, manifest.params["samples"])
 
     if args.what in ("rho", "o1"):
-        if args.rbins < 1:
-            raise SystemExit("--rbins must be at least 1")
-        if not 0.0 < args.rmax < np.inf:
-            raise SystemExit("--rmax must be positive and finite")
         names = ["r"]
         est = estimators.estimate_radial(
             _eigen_blocks(args.indir, manifest),
@@ -231,18 +226,9 @@ def cmd_estimate(args):
     elif args.what == "o2":
         config = estimators.EstimatorConfig(
             delta_min=(5.0 / np.sqrt(manifest.params["n"]))
-            if args.dmin == "auto" else float(args.dmin))
-        if not args.pair:
-            raise SystemExit(
-                "estimate o2 needs at least one --pair re1,im1,re2,im2")
-        windows = []
-        for p in args.pair:
-            a = [float(v) for v in p.split(",")]
-            if len(a) != 4:
-                raise SystemExit("--pair expects re1,im1,re2,im2")
-            windows.append((complex(a[0], a[1]), complex(a[2], a[3])))
+            if args.dmin == "auto" else args.dmin)
         names = ["re_z", "im_z", "re_w", "im_w"]
-        est = estimators.estimate_o2_windows(redraw(), windows,
+        est = estimators.estimate_o2_windows(redraw(), args.pair,
                                              args.half_width, config)
         rows = _binned_rows(est)
     elif args.what == "hprod":
@@ -340,7 +326,7 @@ def cmd_qsolve(args):
                                                   np.conj(args.z2)))
     elif args.what == "wheel":
         if args.word_cov:
-            p, q = (int(v) for v in args.word_cov.split(","))
+            p, q = args.word_cov
             _print_complex("word_cov",
                            qsolver.wheel_word_covariance(rt, p, q))
         else:  # the points default to 2, as for k, o2 and h
@@ -352,7 +338,11 @@ def cmd_qsolve(args):
 def _read_table(path):
     with open(path, newline="") as fh:
         reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        return list(reader), reader.fieldnames
+        rows = list(reader)
+    if "estimate_re" not in (reader.fieldnames or ()):
+        raise ValueError(f"{path} is not an estimate table: it has no "
+                         f"estimate_re column")
+    return rows, reader.fieldnames
 
 
 def cmd_compare(args):
@@ -395,14 +385,16 @@ def build_parser():
         for name in names:
             sp.add_argument(f"--{name}", type=float, default=DEFAULTS[name])
 
-    ps = sub.add_parser("sample", help="draw matrices, write eigen/pair CSVs")
+    ps = sub.add_parser("sample", help="draw matrices, write eigen/pair CSVs",
+                        allow_abbrev=False)
     ps.add_argument("--ensemble", required=True, choices=KINDS)
     ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--samples", type=_positive_int, required=True)
+    ps.add_argument("--samples", type=_at_least_one, required=True)
     ps.add_argument("--seed", type=int, required=True)
     ps.add_argument("--out", required=True)
-    ps.add_argument("--min-separation", type=float, default=0.0)
-    ps.add_argument("--pair-subsample", type=float, default=None)
+    ps.add_argument("--min-separation", type=_nonnegative, default=0.0)
+    ps.add_argument("--pair-subsample", default=None,
+                    type=_flag("must lie in (0, 1]", lambda v: 0 < v <= 1))
     add_ensemble_params(ps, DEFAULTS)
     ps.set_defaults(func=cmd_sample)
 
@@ -410,23 +402,25 @@ def build_parser():
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("--in", dest="indir", required=True)
     run.add_argument("--out", default=None)
-    # each statistic takes only the flags it reads: any other exits 2
-    stat = pe.add_subparsers(dest="what", required=True).add_parser
+    # each statistic takes only its flags, unabbreviated; any other exits 2
+    stats = pe.add_subparsers(dest="what", required=True)
+    se = {what: stats.add_parser(what, parents=[run], allow_abbrev=False)
+          for what in ("rho", "o1", "o2", "hprod", "tracecov")}
     for what in ("rho", "o1"):
-        sp = stat(what, parents=[run])
-        sp.add_argument("--rbins", type=int, default=40)
-        sp.add_argument("--rmax", type=float, default=1.5)
-    sp = stat("o2", parents=[run])
-    sp.add_argument("--dmin", default="0")
-    sp.add_argument("--pair", action="append",
-                    help="re1,im1,re2,im2 window centre pair (repeatable)")
-    sp.add_argument("--half-width", type=float, default=0.25)
-    sp = stat("hprod", parents=[run])
-    sp.add_argument("--z1", type=_complex_arg, default=2.0 + 0.0j)
-    sp.add_argument("--z2", type=_complex_arg, default=2.0 + 0.0j)
-    sp = stat("tracecov", parents=[run])
-    sp.add_argument("--word1", default="X")
-    sp.add_argument("--word2", default="X+")
+        se[what].add_argument("--rbins", type=_at_least_one, default=40)
+        se[what].add_argument("--rmax", type=_positive, default=1.5)
+    se["o2"].add_argument("--dmin", default="0", type=_flag(
+        "must be auto or a number",
+        convert=lambda t: t if t == "auto" else float(t)))
+    se["o2"].add_argument("--pair", action="append", required=True, type=_flag(
+        "must be re1,im1,re2,im2, each finite", math.isfinite, counts=(4,),
+        build=lambda v: (complex(*v[:2]), complex(*v[2:]))),
+        help="re1,im1,re2,im2 window centre pair (repeatable)")
+    se["o2"].add_argument("--half-width", type=float, default=0.25)
+    se["hprod"].add_argument("--z1", type=_complex_arg, default=2.0 + 0.0j)
+    se["hprod"].add_argument("--z2", type=_complex_arg, default=2.0 + 0.0j)
+    se["tracecov"].add_argument("--word1", default="X")
+    se["tracecov"].add_argument("--word2", default="X+")
     pe.set_defaults(func=cmd_estimate)
 
     pa = sub.add_parser("analytic", help="closed-form large-N values")
@@ -442,9 +436,10 @@ def build_parser():
     for what in ("o2", "h", "exact-o2", "elliptic-o2"):
         sa[what].add_argument("--z1", type=_complex_arg, default=0.0 + 0.0j)
         sa[what].add_argument("--z2", type=_complex_arg, default=0.0 + 0.0j)
-    sa["o1"].add_argument("--r", type=float, action="append", default=[])
-    sa["h"].add_argument("--rout", type=float, default=1.0)
-    sa["phi"].add_argument("--omega", type=float, action="append", default=[])
+    sa["o1"].add_argument("--r", type=float, action="append", required=True)
+    sa["h"].add_argument("--rout", type=_positive, default=1.0)
+    sa["phi"].add_argument("--omega", type=float, action="append",
+                           required=True)
     sa["exact-o2"].add_argument("--n", type=int, default=2)
     sa["exact-o2"].add_argument("--raw", action="store_true",
                                 help="skip the N+1 pair-density normalization")
@@ -467,15 +462,18 @@ def build_parser():
         default = None if what == "wheel" else 2.0 + 0.0j
         sq[what].add_argument("--z1", type=_complex_arg, default=default)
         sq[what].add_argument("--z2", type=_complex_arg, default=default)
-    sq["wheel"].add_argument("--word-cov", default=None,
-                             help="p,q word lengths for wheel coefficients")
+    sq["wheel"].add_argument("--word-cov", default=None, type=_flag(
+        "must be p,q, two positive integers", lambda v: v >= 1, int,
+        counts=(2,), build=tuple),
+        help="p,q word lengths for wheel coefficients")
     pq.set_defaults(func=cmd_qsolve)
 
-    pc = sub.add_parser("compare", help="tolerance report between tables")
+    pc = sub.add_parser("compare", help="tolerance report between tables",
+                        allow_abbrev=False)
     pc.add_argument("--table", required=True)
     pc.add_argument("--ref", required=True)
-    pc.add_argument("--zmax", type=float, default=3.0)
-    pc.add_argument("--rtol", type=float, default=0.0)
+    pc.add_argument("--zmax", type=_nonnegative, default=3.0)
+    pc.add_argument("--rtol", type=_nonnegative, default=0.0)
     pc.set_defaults(func=cmd_compare)
     return p
 
@@ -486,14 +484,16 @@ def main(argv=None):
     if vars(args).get("word_cov") and {args.z1, args.z2} != {None}:
         parser.error("argument --word-cov: not allowed with --z1 or --z2")
     if "ensemble" in vars(args):  # sample, qsolve, analytic o1 and o2
+        params = {name: getattr(args, name, default)
+                  for name, default in DEFAULTS.items()}
         # a refusal is a usage error, met before any file is written; its
         # message starts with the parameter's name, so "--" names the flag
         try:
             if args.command == "sample":
                 RngStream(args.seed)
-            check_params(args.ensemble,
-                         {name: getattr(args, name, default)
-                          for name, default in DEFAULTS.items()})
+                args.spec = EnsembleSpec(args.ensemble, args.n, **params)
+            else:
+                check_params(args.ensemble, params)
         except ValueError as exc:
             parser.error(f"--{exc}")
     try:

@@ -89,6 +89,12 @@ class TestO1Biunitary:
         assert analytic.o1_biunitary(fs, 0.5) == 0.0
         assert analytic.o1_biunitary(fs, 2.0) == 0.0
 
+    @pytest.mark.parametrize("r", [-1.0, math.nan])
+    def test_radius_refused(self, r):
+        # nan returned nan, since nan < 0 is false
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            analytic.o1_biunitary(analytic.radial_cdf("ginibre"), r)
+
 
 class TestO2ClosedForms:
     def test_induced_alpha_zero_is_ginibre(self):
@@ -192,6 +198,12 @@ class TestPhi:
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
             analytic.phi_microscopic(-1.0)
+
+    @pytest.mark.parametrize("w", [math.inf, math.nan])
+    def test_non_finite_argument_rejected(self, w):
+        # inf returned nan
+        with pytest.raises(ValueError, match="must be finite"):
+            analytic.phi_microscopic(w)
 
 
 def quadrature_exact_o2(n, z1, z2):

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -38,12 +39,36 @@ def run_sample(tmp_path, name="run", ensemble="ginibre", n=12, samples=3,
     return out
 
 
+def assert_usage_error(capsys, argv, message):
+    """``main(argv)`` exits 2 with ``message`` on stderr, printing nothing."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
 class TestArgs:
     def test_complex_arg(self):
         assert _complex_arg("2") == 2.0 + 0.0j
         assert _complex_arg("1.5,-0.5") == 1.5 - 0.5j
-        with pytest.raises(Exception):
-            _complex_arg("1,2,3")
+        for text in ("1,2,3", "nan", "1,inf", "x"):
+            with pytest.raises(Exception):
+                _complex_arg(text)
+
+    def test_readme_command_lines_parse(self):
+        # the "Command line" block of the README, parsed and not run
+        readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(readme) as fh:
+            block = fh.read().split("## Command line\n", 1)[1]
+        block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines()
+                 if line.startswith("overlap-lab ")]
+        assert len(lines) >= 10
+        parser = cli.build_parser()
+        for line in lines:
+            assert parser.parse_args(shlex.split(line)[1:]).func, line
 
     @pytest.mark.parametrize("first,env,threads", [
         ("numpy", {"OVERLAP_LAB_THREADS": "1"}, 1),
@@ -311,10 +336,14 @@ class TestSample:
             len(read_csv(dense / "pairs.csv"))
 
     @pytest.mark.parametrize("frac", ["-1", "0", "1.5", "nan"])
-    def test_pair_subsample_outside_unit_interval(self, tmp_path, frac):
+    def test_pair_subsample_outside_unit_interval(self, tmp_path, capsys,
+                                                  frac):
         # -1 wrote 0 pair rows and exited 0
-        with pytest.raises(SystemExit, match="must lie in"):
+        with pytest.raises(SystemExit) as exc:
             run_sample(tmp_path, extra=("--pair-subsample", frac))
+        assert exc.value.code == 2
+        assert "argument --pair-subsample: must lie in (0, 1]" in \
+            capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
@@ -341,17 +370,20 @@ class TestSample:
 
     def test_n_below_two_refused(self, tmp_path, capsys):
         # exited 1 but left an empty run directory
-        assert main(["sample", "--ensemble", "ginibre", "--n", "1",
-                     "--samples", "1", "--seed", "7",
-                     "--out", str(tmp_path / "run")]) == 1
-        assert "n must be at least 2" in capsys.readouterr().err
+        assert_usage_error(capsys, [
+            "sample", "--ensemble", "ginibre", "--n", "1", "--samples", "1",
+            "--seed", "7", "--out", str(tmp_path / "run")],
+            "error: --n must be at least 2")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("sep", ["nan", "-3", "inf"])
-    def test_min_separation_refused(self, tmp_path, sep):
+    def test_min_separation_refused(self, tmp_path, capsys, sep):
         # nan and -3 wrote the pairs.csv rows of 0 under another tag
-        with pytest.raises(SystemExit, match="--min-separation"):
+        with pytest.raises(SystemExit) as exc:
             run_sample(tmp_path, extra=("--min-separation", sep))
+        assert exc.value.code == 2
+        assert "argument --min-separation: must be finite and at least 0" \
+            in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_one_sample_allowed(self, tmp_path):
@@ -386,6 +418,10 @@ ESTIMATE_FLAGS = {"rho": ("--rbins", "--rmax"), "o1": ("--rbins", "--rmax"),
 FLAG_VALUES = {"--rbins": "4", "--rmax": "1.2", "--dmin": "0.3",
                "--pair": "0.3,0,-0.3,0.1", "--half-width": "0.3",
                "--z1": "2,0", "--z2": "2,0", "--word1": "X", "--word2": "X+"}
+# a flag of each statistic, shortened to a prefix that names no other
+ABBREVIATED = {"rho": ("--rb", "4"), "o1": ("--rma", "1.2"),
+               "o2": ("--half", "0.3"), "hprod": ("--ou", "t.csv"),
+               "tracecov": ("--ou", "t.csv")}
 
 
 class TestEstimate:
@@ -421,11 +457,12 @@ class TestEstimate:
         assert match in capsys.readouterr().err
         assert not (out / "o2.csv").exists()
 
-    def test_o2_requires_pairs(self, tmp_path):
+    def test_o2_requires_pairs(self, tmp_path, capsys):
         out = run_sample(tmp_path, n=10, samples=3)
-        with pytest.raises(SystemExit) as exc:
-            main(["estimate", "o2", "--in", str(out)])
-        assert "--pair re1,im1,re2,im2" in str(exc.value)
+        capsys.readouterr()
+        assert_usage_error(capsys, ["estimate", "o2", "--in", str(out)],
+                           "the following arguments are required: --pair")
+        assert not (out / "o2.csv").exists()
 
     @pytest.mark.parametrize("what", ["rho", "o1"])
     @pytest.mark.parametrize("opts,flag", [
@@ -433,12 +470,14 @@ class TestEstimate:
         (["--rmax", "0"], "--rmax"), (["--rmax=-1"], "--rmax"),
         (["--rmax", "nan"], "--rmax"), (["--rmax", "inf"], "--rmax"),
     ], ids=["rbins0", "rbins-3", "rmax0", "rmax-1", "rmax_nan", "rmax_inf"])
-    def test_binned_rejects_empty_range(self, tmp_path, what, opts, flag):
+    def test_binned_rejects_empty_range(self, tmp_path, capsys, what, opts,
+                                        flag):
         # --rbins 0 wrote a header-only table and --rmax 0 rows of nan,
         # both exiting 0; --rmax -1 failed with numpy's message on bins
         out = run_sample(tmp_path, n=10, samples=3)
-        with pytest.raises(SystemExit, match=flag):
-            main(["estimate", what, "--in", str(out), *opts])
+        capsys.readouterr()
+        assert_usage_error(capsys, ["estimate", what, "--in", str(out), *opts],
+                           f"argument {flag}: must be")
         assert not (out / f"{what}.csv").exists()
 
     @pytest.mark.parametrize("what,opts", [
@@ -532,14 +571,21 @@ class TestEstimate:
     @pytest.mark.parametrize("what", sorted(ESTIMATE_FLAGS))
     def test_each_statistic_parses_only_its_flags(self, what):
         parser = cli.build_parser()
+        # o2 requires a --pair
+        base = ["estimate", what, "--in", "run",
+                *(["--pair", FLAG_VALUES["--pair"]] if what == "o2" else [])]
         for flag, value in FLAG_VALUES.items():
-            argv = ["estimate", what, "--in", "run", flag, value]
+            argv = [*base, flag, value]
             if flag in ESTIMATE_FLAGS[what]:
                 assert parser.parse_args(argv).indir == "run"
                 continue
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args(argv)
             assert exc.value.code == 2, flag
+        # no abbreviation either: `--rb 4` was read as --rbins 4
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*base, *ABBREVIATED[what]])
+        assert exc.value.code == 2
 
     def test_manifest_missing_a_parameter_fails(self, tmp_path, capsys):
         # a missing parameter was read as its default, silently
@@ -786,6 +832,9 @@ class TestAnalyticQsolve:
             assert exc.value.code == 2, flag
             assert f"unrecognized arguments: {flag}" in \
                 capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["qsolve", what, "--mod", "ginibre"])
+        assert exc.value.code == 2
 
     def test_qsolve_flags_of_other_statistics_refused(self, capsys):
         # o1 ignored --z1 and --word-cov, printed its value and exited 0
@@ -815,13 +864,14 @@ class TestAnalyticQsolve:
         # parsing and then exited 1 in radial_cdf
         from overlap_lab import analytic
         parser = cli.build_parser()
-        models = {kind for kind in KINDS if accepts(
-            lambda: parser.parse_args(["analytic", what, "--model", kind]))}
+        r = ["--r", "0.5"] if what == "o1" else []  # o1 requires an --r
+        models = {kind for kind in KINDS if accepts(lambda: parser.parse_args(
+            ["analytic", what, "--model", kind, *r]))}
         rings = {kind for kind in KINDS
                  if accepts(lambda: analytic.radial_cdf(kind))}
         assert models == rings == set(analytic.SINGLE_RINGS)
         with pytest.raises(SystemExit) as exc:
-            main(["analytic", what, "--model", "elliptic"])
+            main(["analytic", what, "--model", "elliptic", *r])
         assert exc.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -844,7 +894,7 @@ class TestAnalyticQsolve:
         ["o2", "--rout", "2"],
         ["h", "--model", "ginibre"],
         ["elliptic-o2", "--n", "5"],
-        ["phi", "--raw"],
+        ["phi", "--omega", "0.5", "--raw"],
     ])
     def test_analytic_flag_of_another_statistic_refused(self, capsys, argv):
         # each exited 0, printing what it prints without the flag
@@ -885,6 +935,17 @@ class TestAnalyticQsolve:
     def test_analytic_statistic_takes_its_flags(self, capsys, argv):
         assert main(["analytic", *argv]) == 0
         assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,message", [
+        (["o1", "--r", "nan"], "error: radius must be nonnegative, got nan"),
+        (["phi", "--omega", "inf"], "error: |omega| must be finite"),
+    ], ids=["r-nan", "omega-inf"])
+    def test_analytic_radius_refused(self, capsys, argv, message):
+        # o1 printed nan,nan and phi inf,nan, each exiting 0
+        assert main(["analytic", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
 
     def test_analytic_outputs(self, capsys):
         assert main(["analytic", "o2", "--model", "ginibre",
@@ -991,6 +1052,67 @@ def test_ensemble_flag_refused(tmp_path, capsys, kind, name, value):
     assert not (tmp_path / "run").exists()
 
 
+SAMPLE_ARGS = ["sample", "--ensemble", "ginibre", "--n", "4", "--samples",
+               "1", "--seed", "7", "--out", "run/new"]
+COMPARE_ARGS = ["compare", "--table", "run/a.csv", "--ref", "run/b.csv"]
+
+
+# a flag value refused as a usage error, before anything is read or
+# written, and what stderr says of it; "run" is a sample run's directory
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(["qsolve", "o1", "--model", "ginibre", "--z", "nan,0"],
+                 "argument --z: must be re,im", id="qsolve-z-nan"),
+    pytest.param(["qsolve", "k", "--model", "ginibre", "--z2", "1,inf"],
+                 "argument --z2: must be re,im", id="qsolve-z2-inf"),
+    pytest.param(["qsolve", "wheel", "--model", "ginibre", "--word-cov", "2"],
+                 "argument --word-cov: must be p,q", id="word-cov-one"),
+    pytest.param(["qsolve", "wheel", "--model", "ginibre",
+                  "--word-cov", "0,2"],
+                 "argument --word-cov: must be p,q", id="word-cov-zero"),
+    pytest.param(["analytic", "h", "--z1", "inf,0"],
+                 "argument --z1: must be re,im", id="analytic-z1-inf"),
+    pytest.param(["analytic", "exact-o2", "--z2", "nan"],
+                 "argument --z2: must be re,im", id="exact-o2-z2-nan"),
+    pytest.param(["analytic", "h", "--rout", "0"],
+                 "argument --rout: must be positive", id="rout-zero"),
+    pytest.param(["analytic", "o1"], "required: --r", id="o1-no-r"),
+    pytest.param(["analytic", "phi"], "required: --omega", id="phi-no-omega"),
+    pytest.param(["estimate", "o2", "--in", "run", "--pair", "nan,0,0.3,0"],
+                 "argument --pair: must be re1,im1,re2,im2", id="pair-nan"),
+    pytest.param(["estimate", "o2", "--in", "run", "--pair", "1,2,3"],
+                 "argument --pair: must be re1,im1,re2,im2", id="pair-three"),
+    pytest.param(["estimate", "o2", "--in", "run", "--pair", "0.3,0,-0.3,0",
+                  "--dmin", "x"], "argument --dmin: invalid value: 'x'",
+                 id="dmin-text"),
+    pytest.param(["estimate", "hprod", "--in", "run", "--z1", "inf,0"],
+                 "argument --z1: must be re,im", id="hprod-z1-inf"),
+    pytest.param(["estimate", "o1", "--in", "run", "--rb", "4"],
+                 "unrecognized arguments: --rb 4", id="estimate-abbrev"),
+    pytest.param([*SAMPLE_ARGS, "--min-sep", "0.1"],
+                 "unrecognized arguments: --min-sep", id="sample-abbrev"),
+    pytest.param([*COMPARE_ARGS, "--zmax", "nan"],
+                 "argument --zmax: must be finite", id="zmax-nan"),
+    pytest.param([*COMPARE_ARGS, "--rtol=-1"],
+                 "argument --rtol: must be finite", id="rtol-negative"),
+    pytest.param([*COMPARE_ARGS, "--zm", "3"],
+                 "unrecognized arguments: --zm 3", id="compare-abbrev"),
+])
+def test_flag_value_refused(tmp_path, capsys, argv, message):
+    # each exited 0 (qsolve o1 printing o1,0.0 at z = nan, estimate o2 an
+    # estimate of 0 +- 0 at a nan window), or 1 with a message naming no
+    # flag
+    run = run_sample(tmp_path, n=6, samples=2)
+    a, b = (str(run / name) for name in ("a.csv", "b.csv"))
+    for out in (a, b):
+        assert main(["estimate", "o1", "--in", str(run), "--out", out]) == 0
+    capsys.readouterr()
+    before = sorted(tmp_path.rglob("*"))
+    assert_usage_error(capsys, [arg.replace("run", str(run), 1)
+                                if arg.startswith("run") else arg
+                                for arg in argv], message)
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestCompare:
     def write_table(self, path, values, stderr=0.1):
         with open(path, "w", newline="") as fh:
@@ -1034,6 +1156,20 @@ class TestCompare:
         with pytest.raises(SystemExit, match="different key columns"):
             main(["compare", "--table", str(a), "--ref", str(b)])
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("text", ["", "x,value\n"],
+                             ids=["empty", "no-estimate-column"])
+    def test_malformed_table_named(self, tmp_path, capsys, text):
+        # failed with "'NoneType' object has no attribute 'index'" or
+        # "'estimate_re' is not in list", naming no file
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text(text)
+        self.write_table(b, [])
+        assert main(["compare", "--table", str(a), "--ref", str(b)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"error: {a} is not an estimate table" in err
 
     def test_mismatched_rows(self, tmp_path):
         a = tmp_path / "a.csv"
